@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .errors import EmptyGame, InconsistentTrace
-from .game import Game, Partition, scaled_rows
+from .game import Game, Partition, int_utility
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
     n = game.n
     if n == 0:
         raise EmptyGame()
-    rows = scaled_rows(game)
+    rows = game.rows
     if seed is None:
         priority = list(range(n))
     else:
@@ -76,10 +76,10 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
         a = min(remaining, key=rank.__getitem__)
         row = rows[a]
         pool_friends = [b for b in remaining if row[b] > 0]
-        h = sum(row[b] for b in pool_friends)
+        h = int_utility(game, a, pool_friends)
         z = -1  # index into coalitions; -1 = found none, a becomes a leader
         for k, members in enumerate(coalitions):
-            h2 = sum(row[b] for b in members)
+            h2 = int_utility(game, a, members)
             # strictly-greater update: ties keep the earliest-created target
             if h < h2 and all(rows[b][a] == 0 for b in members):
                 h = h2

@@ -99,8 +99,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve_cis(args) -> int:
     game = parse_game(Path(args.game).read_text(encoding="utf-8"))
-    seed = None if args.order == "lowest" and args.seed is None else args.seed
-    partition, trace = compute_cis(game, seed=seed)
+    partition, trace = compute_cis(game, seed=args.seed)
     # bug trap: the output must verify before it is reported
     if find_cis_deviation(game, partition) is not None:
         print("internal error: produced partition is not CIS stable", file=sys.stderr)
@@ -164,13 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ashg",
         description="Additively separable hedonic games: solve, verify, generate.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="cap on internal search workers (current searches are sequential)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a gadget game file")
@@ -184,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-cis", help="compute a contractually individually stable partition")
     p.add_argument("game")
-    p.add_argument("--order", choices=["lowest"], default="lowest")
     p.add_argument("--seed", type=int, help="seeded player pick order")
     p.add_argument("--trace", action="store_true", help="also emit the construction trace")
     p.add_argument("--trace-out", help="trace file path (default stdout)")
@@ -221,8 +212,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits with status 2 on usage errors; remap to the
         # error code so 2 stays reserved for "verified unstable / none"
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            parser.error("--threads must be at least 1")
         if args.command == "gen" and args.kind == "e3c" and not args.spec:
             parser.error("gen e3c requires --spec")
         if args.command == "oracle" and args.kind == "e3c" and not args.spec:

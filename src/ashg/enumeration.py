@@ -11,17 +11,6 @@ from __future__ import annotations
 from typing import Iterator, List, Tuple
 
 
-def mask_members(mask: int) -> Tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 def subset_masks(n: int) -> range:
     """All nonempty subsets of ``range(n)`` in ascending mask order."""
     return range(1, 1 << n)

@@ -22,11 +22,11 @@ from typing import Optional
 from .errors import GameFormatError
 from .game import Game, Partition, validate_partition
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def parse_rational(token: str) -> Fraction:
-    if not _RATIONAL_RE.match(token):
+    if not _RATIONAL_RE.fullmatch(token):
         raise GameFormatError(f"bad rational: {token!r} (use p or p/q with q > 0)")
     return Fraction(token)
 
@@ -86,12 +86,11 @@ def serialize_game(game: Game, default: Optional[Fraction] = None) -> str:
     base = Fraction(0) if default is None else Fraction(default)
     if default is not None:
         lines.append(f"default {format_rational(base)}")
-    n = game.n
-    for i in range(n):
-        for j in range(n):
+    for i, row in enumerate(game.rows):
+        for j, scaled in enumerate(row):
             if i == j:
                 continue
-            v = game.matrix[i][j]
+            v = Fraction(scaled, game.scale)
             if v != base:
                 lines.append(f"val {game.labels[i]} {game.labels[j]} {format_rational(v)}")
     return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
 """Core model: games with exact rational pairwise values, coalitions, partitions.
 
 A game is a fixed ordered set of player labels together with a value
-``v_i(j)`` for every ordered pair of players. Values are exact rationals
-(``fractions.Fraction``), the self-value ``v_i(i)`` is always zero, and all
-derived quantities (utilities, comparisons) are computed exactly. Players are
-addressed by dense 0-based index internally; labels exist for I/O.
+``v_i(j)`` for every ordered pair of players. Values are exact rationals,
+stored as integer rows over one common positive scale; the self-value
+``v_i(i)`` is always zero, and all derived quantities (utilities,
+comparisons) are computed exactly. Players are addressed by dense 0-based
+index internally; labels exist for I/O.
 
 Coalitions are frozensets of player indices; partitions keep their blocks in
 a canonical order (ascending smallest member) so that every downstream
@@ -34,16 +35,27 @@ Coalition = frozenset
 _LABEL_RE = re.compile(r"^[^\s#]+$")
 
 
-def _as_fraction(value) -> Fraction:
+def _as_rational(value) -> Rational:
+    """An int or a Fraction as given; other exact numbers converted; floats rejected."""
+    if type(value) is int or type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise GameFormatError(f"floating-point value {value!r} rejected; use Fraction or int")
     return Fraction(value)
 
 
 class Game:
-    """An additively separable hedonic game over ``n`` labeled players."""
+    """An additively separable hedonic game over ``n`` labeled players.
 
-    __slots__ = ("labels", "_index", "matrix", "_scaled")
+    Values are stored once, as integers: ``v_i(j) == rows[i][j] / scale``,
+    where ``scale`` is the lcm of the denominators of the stored off-diagonal
+    values. Equal games therefore have equal ``(rows, scale)``, and since the
+    scale is positive, sums and comparisons of row entries agree exactly with
+    the rational values. ``value`` and the utility functions return
+    ``Fraction``s.
+    """
+
+    __slots__ = ("labels", "_index", "rows", "scale")
 
     def __init__(
         self,
@@ -64,36 +76,38 @@ class Game:
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
         n = len(labels)
-        d = _as_fraction(default)
-        mat = [[d] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][i] = Fraction(0)
+        d = _as_rational(default)
+        cells = []
         for (a, b), v in dict(values).items():
             i, j = self.index(a), self.index(b)
-            v = _as_fraction(v)
+            v = _as_rational(v)
             if i == j:
                 if v != 0:
                     raise GameFormatError(f"nonzero self-value for player {a!r}")
                 continue
-            mat[i][j] = v
-        self.matrix = tuple(tuple(row) for row in mat)
-        self._scaled = None
+            cells.append((i, j, v))
+        # the default counts towards the scale only if some pair takes it
+        uses_default = len(cells) < n * (n - 1)
+        denominators = {v.denominator for _i, _j, v in cells}
+        if uses_default:
+            denominators.add(d.denominator)
+        scale = math.lcm(*denominators)
+        fill = d.numerator * (scale // d.denominator) if uses_default else 0
+        rows = [[fill] * n for _ in range(n)]
+        for i, j, v in cells:
+            rows[i][j] = v.numerator * (scale // v.denominator)
+        for i in range(n):
+            rows[i][i] = 0
+        self.rows = tuple(map(tuple, rows))
+        self.scale = scale
 
     @classmethod
     def from_matrix(cls, labels: Sequence[str], rows: Sequence[Sequence[Rational]]) -> "Game":
         """Build a game from a dense value matrix (diagonal must be zero)."""
-        game = cls(labels)
-        n = game.n
-        if len(rows) != n or any(len(r) != n for r in rows):
+        labels = tuple(labels)
+        if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
             raise GameFormatError("matrix shape does not match the player count")
-        mat = []
-        for i in range(n):
-            row = [_as_fraction(v) for v in rows[i]]
-            if row[i] != 0:
-                raise GameFormatError(f"nonzero self-value for player {labels[i]!r}")
-            mat.append(tuple(row))
-        game.matrix = tuple(mat)
-        return game
+        return cls(labels, {(a, b): v for a, row in zip(labels, rows) for b, v in zip(labels, row)})
 
     @property
     def n(self) -> int:
@@ -112,7 +126,7 @@ class Game:
     def value(self, i: int, j: int) -> Fraction:
         self._check_player(i)
         self._check_player(j)
-        return self.matrix[i][j]
+        return Fraction(self.rows[i][j], self.scale)
 
     def _check_player(self, player) -> None:
         if not isinstance(player, int) or not 0 <= player < self.n:
@@ -125,29 +139,22 @@ class Game:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Game):
             return NotImplemented
-        return self.labels == other.labels and self.matrix == other.matrix
+        return (self.labels, self.rows, self.scale) == (other.labels, other.rows, other.scale)
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.matrix))
+        return hash((self.labels, self.rows, self.scale))
 
     def __repr__(self) -> str:
         return f"Game({self.n} players: {' '.join(self.labels)})"
 
 
-def scaled_rows(game: Game):
-    """Integer-scaled value matrix (all values times the denominator lcm).
+def int_utility(game: Game, player: int, members: Iterable[int]) -> int:
+    """``game.scale`` times the player's utility in ``members``; no checks.
 
-    Exact: comparisons between scaled sums agree with Fraction arithmetic.
-    Cached on the game.
+    ``members`` may include the player itself, whose self-value is zero.
     """
-    if game._scaled is None:
-        scale = 1
-        for row in game.matrix:
-            for v in row:
-                scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        rows = [[int(v * scale) for v in row] for row in game.matrix]
-        game._scaled = rows
-    return game._scaled
+    row = game.rows[player]
+    return sum(row[j] for j in members)
 
 
 class Partition:
@@ -235,8 +242,7 @@ def utility(game: Game, coalition: Iterable[int], player: int) -> Fraction:
     game._check_members(members)
     if player not in members:
         raise PlayerNotInCoalition(player)
-    row = game.matrix[player]
-    return sum((row[j] for j in members if j != player), Fraction(0))
+    return Fraction(int_utility(game, player, members), game.scale)
 
 
 def partition_utility(game: Game, partition: Partition, player: int) -> Fraction:
@@ -250,18 +256,18 @@ def friends(game: Game, player: int, pool: Iterable[int]) -> frozenset:
     game._check_player(player)
     pool = frozenset(pool)
     game._check_members(pool)
-    row = game.matrix[player]
+    row = game.rows[player]
     return frozenset(j for j in pool if row[j] > 0)
 
 
 def is_symmetric(game: Game) -> bool:
-    m = game.matrix
+    m = game.rows
     n = game.n
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 def is_strict(game: Game) -> bool:
-    m = game.matrix
+    m = game.rows
     n = game.n
     return all(m[i][j] != 0 for i in range(n) for j in range(n) if i != j)
 
@@ -269,9 +275,7 @@ def is_strict(game: Game) -> bool:
 def is_individually_rational(game: Game, partition: Partition) -> Tuple[bool, Optional[int]]:
     """Whether every player does at least as well as alone; else the lowest violator."""
     part = validate_partition(game, partition)
-    rows = scaled_rows(game)
     for p in range(game.n):
-        row = rows[p]
-        if sum(row[j] for j in part.block_of(p)) < 0:
+        if int_utility(game, p, part.block_of(p)) < 0:
             return False, p
     return True, None

@@ -7,7 +7,7 @@ Coalition-based concepts (core, strict core, contractual strict core) scan
 nonempty coalitions in ascending characteristic-mask order. Pareto
 improvements scan all partitions in restricted-growth-string order.
 
-All comparisons run on the integer-scaled value matrix, so results are exact.
+All comparisons run on the game's integer rows, so results are exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Union
 
 from .enumeration import partitions_rgs, rgs_blocks, subset_masks
 from .errors import TooLarge
-from .game import Coalition, Game, Partition, is_individually_rational, scaled_rows, validate_partition
+from .game import Coalition, Game, Partition, int_utility, is_individually_rational, validate_partition
 
 SUBSET_CAP = 26
 PARTITION_CAP = 12
@@ -62,23 +62,21 @@ class StabilityVerdict:
 
 
 def _current_utilities(game: Game, part: Partition):
-    rows = scaled_rows(game)
-    return [sum(rows[p][j] for j in part.block_of(p)) for p in range(game.n)]
+    return [int_utility(game, p, part.block_of(p)) for p in range(game.n)]
 
 
 def _find_deviation(game, partition, admission, release) -> Optional[DeviationMove]:
     part = validate_partition(game, partition)
-    rows = scaled_rows(game)
+    rows = game.rows
     cur = _current_utilities(game, part)
     for p in range(game.n):
         src = part.block_of(p)
-        row = rows[p]
         if release and any(rows[j][p] > 0 for j in src if j != p):
             continue
         for tgt in part.blocks:
             if p in tgt:
                 continue
-            if sum(row[j] for j in tgt) > cur[p]:
+            if int_utility(game, p, tgt) > cur[p]:
                 if admission and any(rows[j][p] < 0 for j in tgt):
                     continue
                 return DeviationMove(p, src, tgt)
@@ -105,7 +103,7 @@ def _iter_blocking(game, part, weak: bool, cap: int) -> Iterator[BlockingWitness
     n = game.n
     if n > cap:
         raise TooLarge(n, cap)
-    rows = scaled_rows(game)
+    rows = game.rows
     cur = _current_utilities(game, part)
     # per-player sound upper bound on utility in any coalition: the sum of all
     # positive values, plus (when a disliked member is present) the least-bad
@@ -149,9 +147,7 @@ def _iter_blocking(game, part, weak: bool, cap: int) -> Iterator[BlockingWitness
         if ok and (not weak or strict):
             members = frozenset(bit_index[1 << i] for i in range(n) if mask >> i & 1)
             if weak:
-                better = frozenset(
-                    i for i in members if sum(rows[i][j] for j in members) > cur[i]
-                )
+                better = frozenset(i for i in members if int_utility(game, i, members) > cur[i])
                 yield BlockingWitness(members, "weak", better)
             else:
                 yield BlockingWitness(members, "strong", members)
@@ -177,7 +173,6 @@ def find_csc_violation(game: Game, partition, cap: int = SUBSET_CAP) -> Optional
     every remaining player does at least as well in its remainder.
     """
     part = validate_partition(game, partition)
-    rows = scaled_rows(game)
     for w in _iter_blocking(game, part, weak=True, cap=cap):
         s = w.coalition
         harmless = True
@@ -187,8 +182,7 @@ def find_csc_violation(game: Game, partition, cap: int = SUBSET_CAP) -> Optional
                 continue
             rem = block - s
             for j in rem:
-                row = rows[j]
-                if sum(row[q] for q in gone) > 0:  # j loses value it had from S
+                if int_utility(game, j, gone) > 0:  # j loses value it had from S
                     harmless = False
                     break
             if not harmless:
@@ -204,7 +198,7 @@ def find_pareto_improvement(game: Game, partition, cap: int = PARTITION_CAP) -> 
     n = game.n
     if n > cap:
         raise TooLarge(n, cap)
-    rows = scaled_rows(game)
+    rows = game.rows
     base = _current_utilities(game, part)
     for rgs in partitions_rgs(n):
         blocks = rgs_blocks(rgs)
@@ -230,24 +224,28 @@ def verify(
     subset_cap: int = SUBSET_CAP,
     partition_cap: int = PARTITION_CAP,
 ) -> StabilityVerdict:
-    """Dispatch to the matching finder; stable iff no witness exists."""
-    part = validate_partition(game, partition)
+    """Dispatch to the matching finder; stable iff no witness exists.
+
+    The finders validate ``partition``; only the IR witness needs the
+    validated ``Partition`` here, to name the violator's block.
+    """
     witness: Optional[Witness]
     if concept is StabilityConcept.NS:
-        witness = find_nash_deviation(game, part)
+        witness = find_nash_deviation(game, partition)
     elif concept is StabilityConcept.IS:
-        witness = find_is_deviation(game, part)
+        witness = find_is_deviation(game, partition)
     elif concept is StabilityConcept.CIS:
-        witness = find_cis_deviation(game, part)
+        witness = find_cis_deviation(game, partition)
     elif concept is StabilityConcept.CORE:
-        witness = find_strongly_blocking(game, part, cap=subset_cap)
+        witness = find_strongly_blocking(game, partition, cap=subset_cap)
     elif concept is StabilityConcept.STRICT_CORE:
-        witness = find_weakly_blocking(game, part, cap=subset_cap)
+        witness = find_weakly_blocking(game, partition, cap=subset_cap)
     elif concept is StabilityConcept.CSC:
-        witness = find_csc_violation(game, part, cap=subset_cap)
+        witness = find_csc_violation(game, partition, cap=subset_cap)
     elif concept is StabilityConcept.PARETO:
-        witness = find_pareto_improvement(game, part, cap=partition_cap)
+        witness = find_pareto_improvement(game, partition, cap=partition_cap)
     elif concept is StabilityConcept.IR:
+        part = validate_partition(game, partition)
         ok, violator = is_individually_rational(game, part)
         witness = None if ok else DeviationMove(violator, part.block_of(violator), frozenset())
     else:  # pragma: no cover
@@ -255,12 +253,7 @@ def verify(
     return StabilityVerdict(concept, witness is None, witness)
 
 
-def core_exists(
-    game: Game,
-    strict: bool = False,
-    cap: int = PARTITION_CAP,
-    subset_cap: int = SUBSET_CAP,
-) -> Optional[Partition]:
+def core_exists(game: Game, strict: bool = False, cap: int = PARTITION_CAP) -> Optional[Partition]:
     """First core (or strict-core) stable partition in enumeration order, if any."""
     n = game.n
     if n > cap:
@@ -268,6 +261,6 @@ def core_exists(
     finder = find_weakly_blocking if strict else find_strongly_blocking
     for rgs in partitions_rgs(n):
         part = Partition(rgs_blocks(rgs))
-        if finder(game, part, cap=subset_cap) is None:
+        if finder(game, part) is None:
             return part
     return None

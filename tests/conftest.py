@@ -41,6 +41,16 @@ def random_game(rng: random.Random, n: int, lo=-10, hi=10, density=0.5) -> ashg.
     return ashg.Game.from_matrix([f"p{i}" for i in range(n)], rows)
 
 
+def random_rational_rows(rng: random.Random, n: int):
+    """A value matrix like ``random_game``'s, with values p/q for q in 2..9."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < 0.5:
+                rows[i][j] = Fraction(rng.randint(-10, 10), rng.randint(2, 9))
+    return rows
+
+
 def random_partition(rng: random.Random, n: int) -> ashg.Partition:
     assignment = [0] * n
     blocks = 0
@@ -58,7 +68,7 @@ def random_partition(rng: random.Random, n: int) -> ashg.Partition:
 
 def brute_utility(game: ashg.Game, members, player) -> Fraction:
     return sum(
-        (game.matrix[player][j] for j in sorted(members) if j != player), Fraction(0)
+        (game.value(player, j) for j in sorted(members) if j != player), Fraction(0)
     )
 
 
@@ -114,10 +124,10 @@ def brute_has_deviation(game: ashg.Game, partition: ashg.Partition, concept: str
         for tgt in targets:
             if brute_utility(game, tgt | {p}, p) <= cur:
                 continue
-            if concept in ("is", "cis") and any(game.matrix[j][p] < 0 for j in tgt):
+            if concept in ("is", "cis") and any(game.value(j, p) < 0 for j in tgt):
                 continue
             if concept == "cis" and any(
-                game.matrix[j][p] > 0 for j in src if j != p
+                game.value(j, p) > 0 for j in src if j != p
             ):
                 continue
             return True

@@ -11,7 +11,7 @@ import time
 import ashg
 from ashg import StabilityConcept as C
 from ashg.enumeration import partitions_rgs
-from ashg.game import Partition, scaled_rows
+from ashg.game import Partition
 
 from conftest import brute_all_blocking, brute_utility, random_game, random_partition
 
@@ -165,7 +165,7 @@ def test_criterion_7_solver_output_may_violate_individual_rationality():
 def _local_blocking_coalition(inst, game, part):
     """Search per-element neighborhoods (a hexagon plus its adjacent hub
     players) for a strongly blocking coalition; sound but not exhaustive."""
-    rows = scaled_rows(game)
+    rows = game.rows
     cur = [sum(rows[p][j] for j in part.block_of(p)) for p in range(game.n)]
     for r in inst.universe:
         players = [game.index(f"x{j}_{r}") for j in range(1, 7)]

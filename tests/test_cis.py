@@ -123,7 +123,7 @@ class TestTraceReplay:
 
 def check_role_conditions(game, trace):
     """Walk a trace asserting the admission rule each role was added under."""
-    rows = [[game.matrix[i][j] for j in range(game.n)] for i in range(game.n)]
+    rows = [[game.value(i, j) for j in range(game.n)] for i in range(game.n)]
     placed = set()
     coalitions = []
     leader_of = {}
@@ -175,7 +175,7 @@ def test_cis_guarantee_random_batch():
         g = random_game(rng, n)
         for seed in (None, rng.randint(0, 10**6)):
             part, _ = ashg.compute_cis(g, seed=seed)
-            assert ashg.find_cis_deviation(g, part) is None, (g.matrix, part)
+            assert ashg.find_cis_deviation(g, part) is None, (ashg.serialize_game(g), part)
 
 
 def test_runtime_smoke_large_game():

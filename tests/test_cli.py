@@ -1,8 +1,10 @@
 """CLI surface: exit codes, stable text formats, pipeline soundness."""
 
 import itertools
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,10 +235,14 @@ class TestUsageErrors:
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child imports the same ashg as this process, installed or not
+    src = str(Path(ashg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "ashg.cli", "oracle", "partition", "-w", "2,3,7"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 2
     assert result.stdout.strip() == "none"

@@ -1,12 +1,17 @@
 """Game and partition text formats: parsing, canonical serialization, round trips."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ashg
 from ashg.errors import GameFormatError, MissingPlayer, UnknownPlayer
 from ashg.formats import parse_rational
+
+from conftest import random_rational_rows
 
 GOOD = """\
 # three players
@@ -25,7 +30,9 @@ class TestParseRational:
     def test_valid(self, token, expected):
         assert parse_rational(token) == expected
 
-    @pytest.mark.parametrize("token", ["1/0", "1/-2", "0.5", "1 / 2", "", "a", "1/+2"])
+    @pytest.mark.parametrize(
+        "token", ["1/0", "1/-2", "0.5", "1 / 2", "", "a", "1/+2", "3\n", "\u0661\u0662", "\u0663/4"]
+    )
     def test_invalid(self, token):
         with pytest.raises(GameFormatError):
             parse_rational(token)
@@ -100,6 +107,20 @@ class TestSerializeGame:
     def test_lowest_terms(self):
         g = ashg.Game(["a", "b"], {("a", "b"): Fraction(2, 4)})
         assert "val a b 1/2" in ashg.serialize_game(g)
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_serialize_parse_round_trip(data, n):
+    rows = random_rational_rows(random.Random(data.draw(st.integers(0, 2**32))), n)
+    g = ashg.Game.from_matrix([f"p{i}" for i in range(n)], rows)
+    assert [[g.value(i, j) for j in range(n)] for i in range(n)] == rows
+    # no default, zero, a value some pair may use, and one no pair uses
+    default = data.draw(st.sampled_from([None, 0, g.value(0, n - 1), Fraction(-1, 11)]))
+    text = ashg.serialize_game(g, default=default)
+    parsed = ashg.parse_game(text)
+    assert parsed == g
+    assert ashg.serialize_game(parsed, default=default) == text
 
 
 class TestPartitionFormat:

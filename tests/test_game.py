@@ -60,6 +60,22 @@ class TestGameConstruction:
         assert g.value(1, 0) == -2
         assert g.value(0, 0) == 0
 
+    def test_rows_share_the_lcm_scale(self):
+        g = ashg.Game(
+            ["a", "b", "c"],
+            {("a", "b"): Fraction(1, 2), ("b", "a"): Fraction(2, 3)},
+            default=Fraction(1, 4),
+        )
+        assert g.scale == 12
+        assert g.rows == ((0, 6, 3), (8, 0, 3), (3, 3, 0))
+
+    def test_unused_default_leaves_equality_and_hash(self):
+        values = {("a", "b"): 1, ("b", "a"): Fraction(-1, 2)}
+        g = ashg.Game(["a", "b"], values, default=Fraction(1, 3))
+        h = ashg.Game(["a", "b"], values)
+        assert g == h
+        assert hash(g) == hash(h)
+
     def test_values_are_exact_canonical_rationals(self):
         g = ashg.Game(["a", "b"], {("a", "b"): Fraction(2, 4)})
         v = g.value(0, 1)

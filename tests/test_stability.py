@@ -1,8 +1,11 @@
 """Stability verifiers: frozen witnesses, cross-checks against brute force."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ashg
 from ashg import StabilityConcept as C
@@ -15,6 +18,7 @@ from conftest import (
     brute_utility,
     random_game,
     random_partition,
+    random_rational_rows,
 )
 
 
@@ -235,7 +239,7 @@ def test_stability_lattice_random_games():
         pi = random_partition(rng, n)
         stable = {c: ashg.verify(g, pi, c).stable for c in ALL_CONCEPTS}
         for pre, post in IMPLICATIONS:
-            assert not stable[pre] or stable[post], (g.matrix, pi, pre, post)
+            assert not stable[pre] or stable[post], (ashg.serialize_game(g), pi, pre, post)
 
 
 def test_witness_soundness_random_games():
@@ -253,10 +257,10 @@ def test_witness_soundness_random_games():
                 gain = brute_utility(g, m.target | {m.player}, m.player)
                 assert gain > brute_utility(g, m.source, m.player)
                 if concept in (C.IS, C.CIS):
-                    assert all(g.matrix[j][m.player] >= 0 for j in m.target)
+                    assert all(g.value(j, m.player) >= 0 for j in m.target)
                 if concept is C.CIS:
                     assert all(
-                        g.matrix[j][m.player] <= 0 for j in m.source if j != m.player
+                        g.value(j, m.player) <= 0 for j in m.source if j != m.player
                     )
         for concept, weak in ((C.CORE, False), (C.STRICT_CORE, True)):
             v = ashg.verify(g, pi, concept)
@@ -290,3 +294,34 @@ def test_csc_witness_never_precedes_weak_witness():
         assert weak is not None
         mask = lambda s: sum(1 << p for p in s)
         assert mask(weak.coalition) <= mask(csc.coalition)
+
+
+FINDERS = [
+    ashg.find_nash_deviation,
+    ashg.find_is_deviation,
+    ashg.find_cis_deviation,
+    ashg.find_strongly_blocking,
+    ashg.find_weakly_blocking,
+    ashg.find_csc_violation,
+    ashg.find_pareto_improvement,
+    ashg.is_individually_rational,
+]
+
+
+@given(data=st.data(), n=st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_outputs_invariant_under_positive_scaling(data, n):
+    """Multiplying every value by a rational c > 0 changes no witness or trace."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rows = random_rational_rows(rng, n)
+    c = Fraction(data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60)))
+    labels = [f"p{i}" for i in range(n)]
+    g = ashg.Game.from_matrix(labels, rows)
+    scaled = ashg.Game.from_matrix(labels, [[v * c for v in row] for row in rows])
+    pi = random_partition(rng, n)
+    for finder in FINDERS:
+        assert finder(scaled, pi) == finder(g, pi), finder.__name__
+    for strict in (False, True):
+        assert ashg.core_exists(scaled, strict=strict) == ashg.core_exists(g, strict=strict)
+    for seed in (None, rng.randint(0, 999)):
+        assert ashg.compute_cis(scaled, seed) == ashg.compute_cis(g, seed)
