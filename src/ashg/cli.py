@@ -7,6 +7,7 @@ Exit codes: 0 = stable / found / ok, 2 = verified unstable or none exists
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,6 +38,8 @@ from .stability import (
 
 OK, ERROR, UNSTABLE = 0, 1, 2
 
+_WEIGHT_RE = re.compile(r"[+-]?[0-9]+")
+
 
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
@@ -47,12 +50,11 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def _parse_weights(spec: str) -> PartitionInstance:
     spec = spec.strip()
-    tokens = [t for t in spec.replace(",", " ").split() if t]
-    try:
-        weights = tuple(int(t) for t in tokens)
-    except ValueError:
-        raise AshgError(f"bad weight list: {spec!r}") from None
-    return PartitionInstance(weights)
+    tokens = spec.replace(",", " ").split()
+    # ASCII digits only: int() alone also takes "1_0" and non-ASCII digits
+    if not all(_WEIGHT_RE.fullmatch(t) for t in tokens):
+        raise AshgError(f"bad weight list: {spec!r}")
+    return PartitionInstance(tuple(int(t) for t in tokens))
 
 
 def _load_weights(args) -> PartitionInstance:

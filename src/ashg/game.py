@@ -32,7 +32,7 @@ from .errors import (
 Rational = Union[int, Fraction]
 Coalition = frozenset
 
-_LABEL_RE = re.compile(r"^[^\s#]+$")
+_LABEL_RE = re.compile(r"[^\s#]+")
 
 
 def _as_rational(value) -> Rational:
@@ -68,7 +68,7 @@ class Game:
             raise EmptyGame()
         seen = set()
         for lab in labels:
-            if not isinstance(lab, str) or not _LABEL_RE.match(lab):
+            if not isinstance(lab, str) or not _LABEL_RE.fullmatch(lab):
                 raise GameFormatError(f"bad player label: {lab!r}")
             if lab in seen:
                 raise GameFormatError(f"duplicate player label: {lab!r}")

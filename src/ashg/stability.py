@@ -5,7 +5,11 @@ scan players in ascending index order and targets in the partition's
 canonical block order with the empty target (a new singleton) last.
 Coalition-based concepts (core, strict core, contractual strict core) scan
 nonempty coalitions in ascending characteristic-mask order. Pareto
-improvements scan all partitions in restricted-growth-string order.
+improvements and ``core_exists`` scan partitions in lexicographic
+restricted-growth-string order.
+
+Each order is one depth-first walk that cuts the branches that cannot
+produce a witness, so the witnesses are those of the full enumeration.
 
 All comparisons run on the game's integer rows, so results are exact.
 """
@@ -14,9 +18,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from itertools import accumulate
+from typing import Iterator, List, Optional, Tuple, Union
 
-from .enumeration import partitions_rgs, rgs_blocks, subset_masks
 from .errors import TooLarge
 from .game import Coalition, Game, Partition, int_utility, is_individually_rational, validate_partition
 
@@ -99,58 +103,118 @@ def find_cis_deviation(game: Game, partition) -> Optional[DeviationMove]:
     return _find_deviation(game, partition, admission=True, release=True)
 
 
+def _positive_prefixes(rows) -> List[List[int]]:
+    """``pos[p][k]``: the sum of player ``p``'s positive values toward players ``0..k-1``."""
+    return [list(accumulate((v if v > 0 else 0 for v in row), initial=0)) for row in rows]
+
+
+_Walk = Iterator[Tuple[List, List[int]]]  # (members or blocks, have)
+
+
+def _coalitions(rows, pos, floor) -> _Walk:
+    """Nonempty coalitions whose members all reach ``floor``, by ascending mask.
+
+    Players are decided from the highest index down, each left out before it
+    is taken in. ``have[p]`` is member ``p``'s utility toward the members
+    taken so far; a branch is cut once a member's ``have`` plus its positive
+    values toward the undecided players falls below its floor. At a leaf that
+    bound is the exact utility. Yields the members (highest first) and
+    ``have``; both lists are reused, so copy what you keep.
+    """
+    have = [0] * len(rows)
+    members: List[int] = []
+
+    def reachable(k):  # players 0..k-1 are undecided
+        return all(have[p] + pos[p][k] >= floor[p] for p in members)
+
+    def walk(k):
+        if k == 0:
+            if members:
+                yield members, have
+            return
+        i = k - 1
+        if reachable(i):
+            yield from walk(i)
+        row = rows[i]
+        own = 0
+        for p in members:
+            have[p] += rows[p][i]
+            own += row[p]
+        have[i] = own
+        members.append(i)
+        if reachable(i):
+            yield from walk(i)
+        members.pop()
+        for p in members:
+            have[p] -= rows[p][i]
+
+    return walk(len(rows))
+
+
+def _partitions(rows, pos, floor) -> _Walk:
+    """Partitions in which every player reaches ``floor``, in RGS order.
+
+    Player ``p`` goes into each earlier block in creation order and then into
+    a new block, which is lexicographic restricted-growth-string order.
+    ``have[q]`` is placed player ``q``'s utility toward its block so far; a
+    branch is cut once a placed player's ``have`` plus its positive values
+    toward the unplaced players falls below its floor. Yields the blocks (in
+    creation order) and ``have``; both are reused, so copy what you keep.
+    """
+    n = len(rows)
+    # need[q][p]: the least ``have[q]`` that can still reach q's floor once
+    # players 0..p are placed
+    need = [[f - (ps[n] - ps[p + 1]) for p in range(n)] for f, ps in zip(floor, pos)]
+    have = [0] * n
+    blocks: List[List[int]] = []
+
+    def walk(p):
+        if p == n:
+            yield blocks, have
+            return
+        row = rows[p]
+        for b in range(len(blocks) + 1):
+            if b == len(blocks):
+                blocks.append([])
+            block = blocks[b]
+            own = 0
+            for q in block:
+                have[q] += rows[q][p]
+                own += row[q]
+            have[p] = own
+            block.append(p)
+            if all(have[q] >= need[q][p] for q in range(p + 1)):
+                yield from walk(p + 1)
+            block.pop()
+            for q in block:
+                have[q] -= rows[q][p]
+        blocks.pop()
+
+    return walk(0)
+
+
+def _blocking(rows, pos, cur, weak: bool) -> Iterator[BlockingWitness]:
+    """Coalitions blocking a partition whose utilities are ``cur``, by ascending mask.
+
+    Strong blocking needs every member strictly better off; weak blocking
+    needs every member at least as well off and one strictly better off.
+    """
+    if not weak:
+        for members, _have in _coalitions(rows, pos, [c + 1 for c in cur]):
+            coalition = frozenset(members)
+            yield BlockingWitness(coalition, "strong", coalition)
+        return
+    for members, have in _coalitions(rows, pos, cur):
+        better = frozenset(p for p in members if have[p] > cur[p])
+        if better:
+            yield BlockingWitness(frozenset(members), "weak", better)
+
+
 def _iter_blocking(game, part, weak: bool, cap: int) -> Iterator[BlockingWitness]:
-    n = game.n
-    if n > cap:
-        raise TooLarge(n, cap)
+    if game.n > cap:
+        raise TooLarge(game.n, cap)
     rows = game.rows
-    cur = _current_utilities(game, part)
-    # per-player sound upper bound on utility in any coalition: the sum of all
-    # positive values, plus (when a disliked member is present) the least-bad
-    # negative value
-    maxpos = [sum(v for v in row if v > 0) for row in rows]
-    maxneg = [max((v for v in row if v < 0), default=0) for row in rows]
-    negmask = [
-        sum(1 << j for j, v in enumerate(row) if v < 0) for row in rows
-    ]
-    bit_index = {1 << i: i for i in range(n)}
-    for mask in subset_masks(n):
-        ok = True
-        strict = False
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            i = bit_index[b]
-            c = cur[i]
-            ub = maxpos[i] + (maxneg[i] if mask & negmask[i] else 0)
-            if ub < c or (not weak and ub <= c):
-                ok = False
-                break
-            row = rows[i]
-            s = 0
-            mm = mask
-            while mm:
-                bb = mm & -mm
-                mm ^= bb
-                s += row[bit_index[bb]]
-            if weak:
-                if s < c:
-                    ok = False
-                    break
-                if s > c:
-                    strict = True
-            else:
-                if s <= c:
-                    ok = False
-                    break
-        if ok and (not weak or strict):
-            members = frozenset(bit_index[1 << i] for i in range(n) if mask >> i & 1)
-            if weak:
-                better = frozenset(i for i in members if int_utility(game, i, members) > cur[i])
-                yield BlockingWitness(members, "weak", better)
-            else:
-                yield BlockingWitness(members, "strong", members)
+    return _blocking(rows, _positive_prefixes(rows), _current_utilities(game, part), weak)
 
 
 def find_strongly_blocking(game: Game, partition, cap: int = SUBSET_CAP) -> Optional[BlockingWitness]:
@@ -175,19 +239,8 @@ def find_csc_violation(game: Game, partition, cap: int = SUBSET_CAP) -> Optional
     part = validate_partition(game, partition)
     for w in _iter_blocking(game, part, weak=True, cap=cap):
         s = w.coalition
-        harmless = True
-        for block in part.blocks:
-            gone = block & s
-            if not gone:
-                continue
-            rem = block - s
-            for j in rem:
-                if int_utility(game, j, gone) > 0:  # j loses value it had from S
-                    harmless = False
-                    break
-            if not harmless:
-                break
-        if harmless:
+        # harmless: no one left behind loses value it had from S
+        if all(int_utility(game, j, block & s) <= 0 for block in part.blocks for j in block - s):
             return w
     return None
 
@@ -200,19 +253,8 @@ def find_pareto_improvement(game: Game, partition, cap: int = PARTITION_CAP) -> 
         raise TooLarge(n, cap)
     rows = game.rows
     base = _current_utilities(game, part)
-    for rgs in partitions_rgs(n):
-        blocks = rgs_blocks(rgs)
-        ok = True
-        strict = False
-        for p in range(n):
-            row = rows[p]
-            s = sum(row[q] for q in blocks[rgs[p]])
-            if s < base[p]:
-                ok = False
-                break
-            if s > base[p]:
-                strict = True
-        if ok and strict:
+    for blocks, have in _partitions(rows, _positive_prefixes(rows), base):
+        if have != base:
             return Partition(blocks)
     return None
 
@@ -254,13 +296,17 @@ def verify(
 
 
 def core_exists(game: Game, strict: bool = False, cap: int = PARTITION_CAP) -> Optional[Partition]:
-    """First core (or strict-core) stable partition in enumeration order, if any."""
+    """First core (or strict-core) stable partition in enumeration order, if any.
+
+    Only individually rational partitions are checked: a player below zero
+    is strictly better off alone, so any other partition is blocked.
+    """
     n = game.n
     if n > cap:
         raise TooLarge(n, cap)
-    finder = find_weakly_blocking if strict else find_strongly_blocking
-    for rgs in partitions_rgs(n):
-        part = Partition(rgs_blocks(rgs))
-        if finder(game, part) is None:
-            return part
+    rows = game.rows
+    pos = _positive_prefixes(rows)
+    for blocks, have in _partitions(rows, pos, [0] * n):
+        if next(_blocking(rows, pos, have[:], strict), None) is None:
+            return Partition(blocks)
     return None

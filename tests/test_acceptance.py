@@ -10,10 +10,15 @@ import time
 
 import ashg
 from ashg import StabilityConcept as C
-from ashg.enumeration import partitions_rgs
 from ashg.game import Partition
 
-from conftest import brute_all_blocking, brute_utility, random_game, random_partition
+from conftest import (
+    all_partitions,
+    brute_all_blocking,
+    brute_utility,
+    random_game,
+    random_partition,
+)
 
 
 def report(num, text, start):
@@ -23,7 +28,10 @@ def report(num, text, start):
 def test_criterion_1_example_core_is_empty():
     start = time.time()
     game = ashg.example_six_player()
-    assert sum(1 for _ in partitions_rgs(6)) == 203
+    partitions = list(all_partitions(6))
+    assert len(partitions) == 203
+    for blocks in partitions:
+        assert ashg.find_strongly_blocking(game, Partition(blocks)) is not None, blocks
     assert ashg.core_exists(game) is None
     report(1, "all 203 partitions of the six-player game admit a blocking coalition", start)
 

@@ -219,6 +219,11 @@ class TestOracle:
         assert code == 0
         assert out.strip() == "A1: 0 1"
 
+    @pytest.mark.parametrize("spec", ["1_0,3,7", "10,\u0663,7"])
+    def test_non_ascii_weight_tokens_rejected(self, capsys, spec):
+        assert main(["oracle", "partition", "-w", spec]) == 1
+        assert "bad weight list" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

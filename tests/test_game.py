@@ -33,7 +33,7 @@ class TestGameConstruction:
         g = ashg.Game(["solo"])
         assert g.n == 1
 
-    @pytest.mark.parametrize("label", ["has space", "ha#sh", ""])
+    @pytest.mark.parametrize("label", ["has space", "ha#sh", "", "a\n"])
     def test_rejects_bad_labels(self, label):
         with pytest.raises(GameFormatError):
             ashg.Game([label])
