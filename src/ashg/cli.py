@@ -26,8 +26,6 @@ from .gadgets import (
 )
 from .game import Partition
 from .stability import (
-    PARTITION_CAP,
-    SUBSET_CAP,
     BlockingWitness,
     DeviationMove,
     StabilityConcept,
@@ -55,6 +53,13 @@ def _parse_weights(spec: str) -> PartitionInstance:
     if not all(_WEIGHT_RE.fullmatch(t) for t in tokens):
         raise AshgError(f"bad weight list: {spec!r}")
     return PartitionInstance(tuple(int(t) for t in tokens))
+
+
+def _seed(token: str) -> int:
+    # ASCII digits only, as in weight lists; int() alone takes "1_0" and " 10 "
+    if not _WEIGHT_RE.fullmatch(token):
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}")
+    return int(token)
 
 
 def _load_weights(args) -> PartitionInstance:
@@ -118,13 +123,7 @@ _CONCEPTS = {c.value: c for c in StabilityConcept}
 def cmd_verify(args) -> int:
     game = parse_game(Path(args.game).read_text(encoding="utf-8"))
     partition = parse_partition(Path(args.partition).read_text(encoding="utf-8"), game)
-    verdict = verify(
-        game,
-        partition,
-        _CONCEPTS[args.concept],
-        subset_cap=args.subset_cap,
-        partition_cap=args.partition_cap,
-    )
+    verdict = verify(game, partition, _CONCEPTS[args.concept])
     if verdict.stable:
         print("stable")
         return OK
@@ -134,7 +133,7 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     game = parse_game(Path(args.game).read_text(encoding="utf-8"))
-    found = core_exists(game, strict=args.concept == "strict-core", cap=args.cap)
+    found = core_exists(game, strict=args.concept == "strict-core")
     if found is None:
         print("none")
         return UNSTABLE
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-cis", help="compute a contractually individually stable partition")
     p.add_argument("game")
-    p.add_argument("--seed", type=int, help="seeded player pick order")
+    p.add_argument("--seed", type=_seed, help="seeded player pick order")
     p.add_argument("--trace", action="store_true", help="also emit the construction trace")
     p.add_argument("--trace-out", help="trace file path (default stdout)")
     p.add_argument("--out", "-o", help="partition file path (default stdout)")
@@ -188,14 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("partition")
     p.add_argument("--concept", required=True, choices=sorted(_CONCEPTS))
-    p.add_argument("--subset-cap", type=int, default=SUBSET_CAP)
-    p.add_argument("--partition-cap", type=int, default=PARTITION_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exhaustively search for a stable partition")
     p.add_argument("game")
     p.add_argument("--concept", required=True, choices=["core", "strict-core"])
-    p.add_argument("--cap", type=int, default=PARTITION_CAP)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle", help="brute-force solve a source problem instance")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .errors import (
     GameFormatError,
@@ -26,6 +26,7 @@ from .errors import (
     NotAnEqualSplit,
     TooLarge,
 )
+from .formats import _content_lines
 from .game import Game, Partition
 
 E3C_ORACLE_CAP = 24
@@ -42,11 +43,13 @@ _HEXAGON_EDGES = (
 
 @dataclass(frozen=True)
 class E3CInstance:
-    """Exact-cover-by-3-sets source instance: universe R and 3-element triples."""
+    """Exact-cover-by-3-sets source instance: universe R and 3-element triples.
+
+    Each element occurs in at most 3 triples, as in the paper's reduction.
+    """
 
     universe: Tuple[str, ...]
     triples: Tuple[frozenset, ...]
-    enforce_occurrence_bound: bool = True
 
     def __post_init__(self):
         if not self.universe or len(self.universe) % 3 != 0:
@@ -60,7 +63,7 @@ class E3CInstance:
                 raise InvalidInstance(f"each triple needs 3 distinct universe elements: {sorted(s)}")
             for r in s:
                 counts[r] += 1
-        if self.enforce_occurrence_bound and any(c > 3 for c in counts.values()):
+        if any(c > 3 for c in counts.values()):
             worst = max(counts, key=counts.get)
             raise InvalidInstance(f"element {worst!r} occurs in more than 3 triples")
 
@@ -82,14 +85,10 @@ class PartitionInstance:
 
 @dataclass(frozen=True)
 class GadgetGame:
-    """A constructed game plus the role-to-label map and its source instance."""
+    """A constructed game plus its source instance."""
 
     game: Game
-    labeling: Dict[str, str]
-    instance: Union[E3CInstance, PartitionInstance, None] = None
-
-    def player(self, role: str) -> int:
-        return self.game.index(self.labeling[role])
+    instance: Union[E3CInstance, PartitionInstance]
 
 
 def example_six_player() -> Game:
@@ -104,17 +103,8 @@ def example_six_player() -> Game:
 
 def reduce_e3c(inst: E3CInstance) -> GadgetGame:
     """Symmetric game with a hexagon per universe element and a hub player per triple."""
-    labels = []
-    labeling = {}
-    for r in inst.universe:
-        for j in range(1, 7):
-            role = f"x{j}_{r}"
-            labels.append(role)
-            labeling[role] = role
-    for k in range(len(inst.triples)):
-        role = f"y_{k}"
-        labels.append(role)
-        labeling[role] = role
+    labels = [f"x{j}_{r}" for r in inst.universe for j in range(1, 7)]
+    labels += [f"y_{k}" for k in range(len(inst.triples))]
 
     half = Fraction(1, 2)
     bonus = Fraction(41, 4)
@@ -134,7 +124,7 @@ def reduce_e3c(inst: E3CInstance) -> GadgetGame:
                 put(f"x6_{members[a]}", f"x6_{members[b]}", half)
             put(f"y_{k}", f"x6_{members[a]}", bonus)
 
-    return GadgetGame(Game(labels, values, default=-33), labeling, inst)
+    return GadgetGame(Game(labels, values, default=-33), inst)
 
 
 def witness_partition_e3c(gadget: GadgetGame, cover: Iterable[int]) -> Partition:
@@ -169,11 +159,11 @@ def witness_partition_e3c(gadget: GadgetGame, cover: Iterable[int]) -> Partition
     return Partition(blocks)
 
 
-def solve_e3c(inst: E3CInstance, cap: int = E3C_ORACLE_CAP) -> Optional[Tuple[int, ...]]:
+def solve_e3c(inst: E3CInstance) -> Optional[Tuple[int, ...]]:
     """First exact cover in lexicographic index-subset order, if any."""
     m = len(inst.triples)
-    if m > cap:
-        raise TooLarge(m, cap)
+    if m > E3C_ORACLE_CAP:
+        raise TooLarge(m, E3C_ORACLE_CAP)
     universe = frozenset(inst.universe)
     triples = inst.triples
 
@@ -199,7 +189,6 @@ def reduce_partition(inst: PartitionInstance) -> Tuple[GadgetGame, Partition]:
     """Asymmetric game whose grand coalition is CSC stable iff no equal split exists."""
     k = len(inst.weights)
     labels = ["x1", "x2", "y1", "y2"] + [f"z{i}" for i in range(1, k + 1)]
-    labeling = {lab: lab for lab in labels}
     total = inst.total
     halfw = Fraction(total, 2)
     values = {}
@@ -213,7 +202,7 @@ def reduce_partition(inst: PartitionInstance) -> Tuple[GadgetGame, Partition]:
     values[("y1", "y2")] = -total
     values[("y2", "y1")] = -total
     game = Game(labels, values, default=0)
-    return GadgetGame(game, labeling, inst), Partition.grand(game.n)
+    return GadgetGame(game, inst), Partition.grand(game.n)
 
 
 def witness_partition_split(gadget: GadgetGame, first_half: Iterable[int]) -> Partition:
@@ -235,11 +224,11 @@ def witness_partition_split(gadget: GadgetGame, first_half: Iterable[int]) -> Pa
     return Partition([left, right])
 
 
-def solve_partition(inst: PartitionInstance, cap: int = PARTITION_ORACLE_CAP) -> Optional[Tuple[int, ...]]:
+def solve_partition(inst: PartitionInstance) -> Optional[Tuple[int, ...]]:
     """First weight subset (ascending mask order) summing to half the total, if any."""
     k = len(inst.weights)
-    if k > cap:
-        raise TooLarge(k, cap)
+    if k > PARTITION_ORACLE_CAP:
+        raise TooLarge(k, PARTITION_ORACLE_CAP)
     total = inst.total
     if total % 2 != 0:
         return None
@@ -263,11 +252,7 @@ def parse_e3c(text: str) -> E3CInstance:
     """E3C spec file: a ``universe`` line, then ``set a b c`` lines."""
     universe = None
     triples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _content_lines(text):
         kind, args = tokens[0], tokens[1:]
         if universe is None:
             if kind != "universe":

@@ -163,19 +163,18 @@ class Partition:
     __slots__ = ("blocks", "_block_of")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        cleaned = []
-        for b in blocks:
-            fs = frozenset(b)
-            if not fs:
-                raise EmptyCoalition()
-            cleaned.append(fs)
+        cleaned = [list(b) for b in blocks]
+        if not all(cleaned):
+            raise EmptyCoalition()
         block_of = {}
-        for fs in cleaned:
-            for p in fs:
+        for members in cleaned:
+            fs = frozenset(members)
+            # members, not fs: a player listed twice in one block is a duplicate too
+            for p in members:
                 if p in block_of:
                     raise DuplicatePlayer(p)
                 block_of[p] = fs
-        self.blocks = tuple(sorted(cleaned, key=min))
+        self.blocks = tuple(sorted(set(block_of.values()), key=min))
         self._block_of = block_of
 
     def block_of(self, player: int) -> Coalition:

@@ -24,6 +24,9 @@ from typing import Iterator, List, Optional, Tuple, Union
 from .errors import TooLarge
 from .game import Coalition, Game, Partition, int_utility, is_individually_rational, validate_partition
 
+# Largest games the exponential searches accept: coalition scans (2**n
+# masks) and partition searches (Bell(n) partitions). Larger inputs raise
+# ``TooLarge`` before any enumeration.
 SUBSET_CAP = 26
 PARTITION_CAP = 12
 
@@ -210,26 +213,26 @@ def _blocking(rows, pos, cur, weak: bool) -> Iterator[BlockingWitness]:
             yield BlockingWitness(frozenset(members), "weak", better)
 
 
-def _iter_blocking(game, part, weak: bool, cap: int) -> Iterator[BlockingWitness]:
-    if game.n > cap:
-        raise TooLarge(game.n, cap)
+def _iter_blocking(game, part, weak: bool) -> Iterator[BlockingWitness]:
+    if game.n > SUBSET_CAP:
+        raise TooLarge(game.n, SUBSET_CAP)
     rows = game.rows
     return _blocking(rows, _positive_prefixes(rows), _current_utilities(game, part), weak)
 
 
-def find_strongly_blocking(game: Game, partition, cap: int = SUBSET_CAP) -> Optional[BlockingWitness]:
+def find_strongly_blocking(game: Game, partition) -> Optional[BlockingWitness]:
     """First coalition every member strictly prefers to its current block."""
     part = validate_partition(game, partition)
-    return next(_iter_blocking(game, part, weak=False, cap=cap), None)
+    return next(_iter_blocking(game, part, weak=False), None)
 
 
-def find_weakly_blocking(game: Game, partition, cap: int = SUBSET_CAP) -> Optional[BlockingWitness]:
+def find_weakly_blocking(game: Game, partition) -> Optional[BlockingWitness]:
     """First coalition all members weakly prefer, at least one strictly."""
     part = validate_partition(game, partition)
-    return next(_iter_blocking(game, part, weak=True, cap=cap), None)
+    return next(_iter_blocking(game, part, weak=True), None)
 
 
-def find_csc_violation(game: Game, partition, cap: int = SUBSET_CAP) -> Optional[BlockingWitness]:
+def find_csc_violation(game: Game, partition) -> Optional[BlockingWitness]:
     """First weakly blocking coalition whose break-off harms no outsider.
 
     Breaking off turns the partition into ``{S}`` plus the remainders
@@ -237,7 +240,7 @@ def find_csc_violation(game: Game, partition, cap: int = SUBSET_CAP) -> Optional
     every remaining player does at least as well in its remainder.
     """
     part = validate_partition(game, partition)
-    for w in _iter_blocking(game, part, weak=True, cap=cap):
+    for w in _iter_blocking(game, part, weak=True):
         s = w.coalition
         # harmless: no one left behind loses value it had from S
         if all(int_utility(game, j, block & s) <= 0 for block in part.blocks for j in block - s):
@@ -245,12 +248,11 @@ def find_csc_violation(game: Game, partition, cap: int = SUBSET_CAP) -> Optional
     return None
 
 
-def find_pareto_improvement(game: Game, partition, cap: int = PARTITION_CAP) -> Optional[Partition]:
+def find_pareto_improvement(game: Game, partition) -> Optional[Partition]:
     """First partition weakly better for everyone and strictly for someone."""
     part = validate_partition(game, partition)
-    n = game.n
-    if n > cap:
-        raise TooLarge(n, cap)
+    if game.n > PARTITION_CAP:
+        raise TooLarge(game.n, PARTITION_CAP)
     rows = game.rows
     base = _current_utilities(game, part)
     for blocks, have in _partitions(rows, _positive_prefixes(rows), base):
@@ -259,13 +261,7 @@ def find_pareto_improvement(game: Game, partition, cap: int = PARTITION_CAP) -> 
     return None
 
 
-def verify(
-    game: Game,
-    partition,
-    concept: StabilityConcept,
-    subset_cap: int = SUBSET_CAP,
-    partition_cap: int = PARTITION_CAP,
-) -> StabilityVerdict:
+def verify(game: Game, partition, concept: StabilityConcept) -> StabilityVerdict:
     """Dispatch to the matching finder; stable iff no witness exists.
 
     The finders validate ``partition``; only the IR witness needs the
@@ -279,13 +275,13 @@ def verify(
     elif concept is StabilityConcept.CIS:
         witness = find_cis_deviation(game, partition)
     elif concept is StabilityConcept.CORE:
-        witness = find_strongly_blocking(game, partition, cap=subset_cap)
+        witness = find_strongly_blocking(game, partition)
     elif concept is StabilityConcept.STRICT_CORE:
-        witness = find_weakly_blocking(game, partition, cap=subset_cap)
+        witness = find_weakly_blocking(game, partition)
     elif concept is StabilityConcept.CSC:
-        witness = find_csc_violation(game, partition, cap=subset_cap)
+        witness = find_csc_violation(game, partition)
     elif concept is StabilityConcept.PARETO:
-        witness = find_pareto_improvement(game, partition, cap=partition_cap)
+        witness = find_pareto_improvement(game, partition)
     elif concept is StabilityConcept.IR:
         part = validate_partition(game, partition)
         ok, violator = is_individually_rational(game, part)
@@ -295,15 +291,15 @@ def verify(
     return StabilityVerdict(concept, witness is None, witness)
 
 
-def core_exists(game: Game, strict: bool = False, cap: int = PARTITION_CAP) -> Optional[Partition]:
+def core_exists(game: Game, strict: bool = False) -> Optional[Partition]:
     """First core (or strict-core) stable partition in enumeration order, if any.
 
     Only individually rational partitions are checked: a player below zero
     is strictly better off alone, so any other partition is blocked.
     """
     n = game.n
-    if n > cap:
-        raise TooLarge(n, cap)
+    if n > PARTITION_CAP:
+        raise TooLarge(n, PARTITION_CAP)
     rows = game.rows
     pos = _positive_prefixes(rows)
     for blocks, have in _partitions(rows, pos, [0] * n):

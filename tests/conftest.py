@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 import ashg
 
@@ -49,6 +50,12 @@ def random_rational_rows(rng: random.Random, n: int):
             if i != j and rng.random() < 0.5:
                 rows[i][j] = Fraction(rng.randint(-10, 10), rng.randint(2, 9))
     return rows
+
+
+# labels and spec tokens as the text formats allow them: no whitespace, no "#"
+TOKENS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3).filter(
+    lambda t: "#" not in t and not any(c.isspace() for c in t)
+)
 
 
 def random_partition(rng: random.Random, n: int) -> ashg.Partition:

@@ -71,6 +71,13 @@ def ex6_file(tmp_path):
     return str(path)
 
 
+def zero_game_file(tmp_path, n):
+    """An all-zero game on ``n`` players, whose searches would finish at once."""
+    path = tmp_path / f"zero{n}.game"
+    path.write_text("players " + " ".join(f"p{i}" for i in range(n)) + "\n")
+    return str(path)
+
+
 @pytest.fixture
 def ex6_partition_file(tmp_path):
     path = tmp_path / "ex6.partition"
@@ -113,6 +120,11 @@ class TestSolveCis:
         pi = ashg.parse_partition(out.read_text(), game)
         assert ashg.find_cis_deviation(game, pi) is None
 
+    @pytest.mark.parametrize("seed", ["1_0", "\u0661\u0660", " 10 "])
+    def test_non_integer_seed_tokens_rejected(self, capsys, ex6_file, seed):
+        assert main(["solve-cis", ex6_file, "--seed", seed]) == 1
+        assert "argument --seed: invalid int value" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_core_unstable_witness(self, capsys, ex6_file, ex6_partition_file):
@@ -141,18 +153,12 @@ class TestVerify:
         code, _ = run(capsys, "verify", ex6_file, str(bad), "--concept", "core")
         assert code == 1
 
-    def test_cap_exceeded_is_an_input_error(self, capsys, ex6_file, ex6_partition_file):
-        code, _ = run(
-            capsys,
-            "verify",
-            ex6_file,
-            ex6_partition_file,
-            "--concept",
-            "core",
-            "--subset-cap",
-            "3",
-        )
+    def test_cap_exceeded_is_an_input_error(self, capsys, tmp_path):
+        grand = tmp_path / "grand.partition"
+        grand.write_text(" ".join(f"p{i}" for i in range(27)) + "\n")
+        code = main(["verify", zero_game_file(tmp_path, 27), str(grand), "--concept", "core"])
         assert code == 1
+        assert "27 players exceeds the exhaustive-search cap of 26" in capsys.readouterr().err
 
     def test_ir_witness_move(self, capsys, ex6_file, tmp_path):
         grand = tmp_path / "grand.partition"
@@ -189,9 +195,10 @@ class TestSearch:
         assert code == 0
         assert out == "a b\n"
 
-    def test_over_cap(self, capsys, ex6_file):
-        code, _ = run(capsys, "search", ex6_file, "--concept", "core", "--cap", "3")
+    def test_over_cap(self, capsys, tmp_path):
+        code = main(["search", zero_game_file(tmp_path, 13), "--concept", "core"])
         assert code == 1
+        assert "13 players exceeds the exhaustive-search cap of 12" in capsys.readouterr().err
 
 
 class TestOracle:
@@ -234,6 +241,18 @@ class TestUsageErrors:
 
     def test_bad_threads(self, capsys):
         assert main(["--threads", "0", "gen", "example6"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "g", "p", "--concept", "core", "--subset-cap", "3"],
+            ["verify", "g", "p", "--concept", "pareto", "--partition-cap", "3"],
+            ["search", "g", "--concept", "core", "--cap", "3"],
+        ],
+    )
+    def test_cap_flags_are_unknown(self, capsys, argv):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ashg
-from ashg.errors import GameFormatError, MissingPlayer, UnknownPlayer
+from ashg.errors import DuplicatePlayer, GameFormatError, MissingPlayer, UnknownPlayer
 from ashg.formats import parse_rational
 
-from conftest import random_rational_rows
+from conftest import TOKENS, random_rational_rows
 
 GOOD = """\
 # three players
@@ -143,3 +143,47 @@ class TestPartitionFormat:
     def test_unknown_label(self, example6):
         with pytest.raises(UnknownPlayer):
             ashg.parse_partition("1 2 7\n3 4 5 6\n", example6)
+
+
+
+@st.composite
+def labeled_partitions(draw):
+    """A game on distinct drawn labels and the label groups of a partition of it."""
+    labels = draw(st.lists(TOKENS, min_size=1, max_size=8, unique=True))
+    block_of = draw(st.lists(st.integers(0, len(labels) - 1), min_size=len(labels), max_size=len(labels)))
+    groups = {}
+    for lab, b in zip(labels, block_of):
+        groups.setdefault(b, []).append(lab)
+    return ashg.Game(labels), list(groups.values())
+
+
+@given(case=labeled_partitions())
+@settings(max_examples=200, deadline=None)
+def test_partition_serialize_parse_round_trip(case):
+    game, groups = case
+    pi = ashg.Partition.of_labels(game, groups)
+    text = ashg.serialize_partition(game, pi)
+    parsed = ashg.parse_partition(text, game)
+    assert parsed == pi
+    assert ashg.serialize_partition(game, parsed) == text
+
+
+@given(case=labeled_partitions(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_partition_rejects_bad_cover(case, data):
+    game, groups = case
+    lines = [list(g) for g in groups]
+    fault = data.draw(st.sampled_from(["drop", "repeat", "unknown"]))
+    row = data.draw(st.integers(0, len(lines) - 1))
+    if fault == "drop":
+        lines[row].pop(data.draw(st.integers(0, len(lines[row]) - 1)))
+    elif fault == "repeat":
+        twice = data.draw(st.sampled_from(game.labels))
+        lines[row].insert(data.draw(st.integers(0, len(lines[row]))), twice)
+    else:
+        stranger = data.draw(TOKENS.filter(lambda t: t not in game.labels))
+        lines[row].append(stranger)
+    text = "".join(" ".join(line) + "\n" for line in lines)
+    expected = {"drop": MissingPlayer, "repeat": DuplicatePlayer, "unknown": UnknownPlayer}[fault]
+    with pytest.raises(expected):
+        ashg.parse_partition(text, game)

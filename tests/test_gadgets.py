@@ -5,16 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ashg
 from ashg import StabilityConcept as C
 from ashg.errors import InvalidInstance, NotACover, NotAnEqualSplit, TooLarge
 
-from conftest import brute_solve_partition
+from conftest import TOKENS, brute_solve_partition
 
 
-def e3c(universe, triples, **kw):
-    return ashg.E3CInstance(tuple(universe), tuple(frozenset(t) for t in triples), **kw)
+def e3c(universe, triples):
+    return ashg.E3CInstance(tuple(universe), tuple(frozenset(t) for t in triples))
 
 
 class TestExampleSixPlayer:
@@ -46,8 +48,6 @@ class TestE3CInstance:
         triples = [("1", "2", "3"), ("1", "2", "4"), ("1", "3", "4"), ("1", "5", "6")]
         with pytest.raises(InvalidInstance):
             e3c("123456", triples)
-        inst = e3c("123456", triples, enforce_occurrence_bound=False)
-        assert len(inst.triples) == 4
 
 
 class TestReduceE3C:
@@ -107,10 +107,13 @@ class TestSolveE3C:
         assert ashg.solve_e3c(e3c("123456", [("1", "2", "3"), ("1", "4", "5")])) is None
 
     def test_cap(self):
-        triples = tuple(frozenset(t) for t in [("1", "2", "3")] * 3)
-        inst = ashg.E3CInstance(tuple("123"), triples)
-        with pytest.raises(TooLarge):
-            ashg.solve_e3c(inst, cap=2)
+        # 25 triples (i, i+1, i+2) over 27 elements; without the cap the
+        # cover 0, 3, ..., 24 is found at once
+        universe = [str(i) for i in range(27)]
+        inst = e3c(universe, [universe[i : i + 3] for i in range(25)])
+        with pytest.raises(TooLarge) as exc:
+            ashg.solve_e3c(inst)
+        assert (exc.value.n, exc.value.cap) == (25, 24)
 
     def test_soundness_on_random_instances(self):
         rng = random.Random(17)
@@ -195,8 +198,10 @@ class TestSolvePartition:
         assert ashg.solve_partition(ashg.PartitionInstance(())) == ()
 
     def test_cap(self):
-        with pytest.raises(TooLarge):
-            ashg.solve_partition(ashg.PartitionInstance((1, 1)), cap=1)
+        # an odd total: without the cap the answer is None at once
+        with pytest.raises(TooLarge) as exc:
+            ashg.solve_partition(ashg.PartitionInstance((1,) * 31))
+        assert (exc.value.n, exc.value.cap) == (31, 30)
 
     def test_matches_brute_force(self):
         rng = random.Random(19)
@@ -225,6 +230,55 @@ class TestParseE3C:
     def test_bad_universe_size(self):
         with pytest.raises(ashg.GameFormatError):
             ashg.parse_e3c("universe 1 2\n")
+
+
+@st.composite
+def e3c_specs(draw):
+    """A universe, triples that keep the occurrence bound, and their spec lines."""
+    m = draw(st.integers(1, 4))
+    universe = draw(st.lists(TOKENS, min_size=3 * m, max_size=3 * m, unique=True))
+    picks = draw(st.lists(st.lists(st.sampled_from(universe), min_size=3, max_size=3, unique=True), max_size=8))
+    counts = dict.fromkeys(universe, 0)
+    triples = []
+    for t in picks:
+        if all(counts[r] < 3 for r in t):
+            triples.append(t)
+            for r in t:
+                counts[r] += 1
+    lines = ["universe " + " ".join(universe)] + ["set " + " ".join(t) for t in triples]
+    return universe, triples, lines
+
+
+@given(spec=e3c_specs(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_e3c_reproduces_spec(spec, data):
+    universe, triples, lines = spec
+    # comments and blank lines anywhere change nothing
+    noisy = []
+    for line in lines:
+        noisy += data.draw(st.lists(st.sampled_from(["", "  ", "# note", " # set a b c"]), max_size=2))
+        noisy.append(line + data.draw(st.sampled_from(["", "  ", " # comment"])))
+    inst = ashg.parse_e3c("\n".join(noisy) + "\n")
+    assert inst.universe == tuple(universe)
+    assert inst.triples == tuple(frozenset(t) for t in triples)
+
+
+@given(spec=e3c_specs(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_e3c_rejects_bad_lines(spec, data):
+    universe, _triples, lines = spec
+    if data.draw(st.booleans()):
+        word = data.draw(TOKENS.filter(lambda t: t not in ("set", "universe")))
+        args = data.draw(st.lists(st.sampled_from(universe), max_size=4))
+    else:
+        word = "set"
+        args = data.draw(
+            st.lists(st.sampled_from(universe), max_size=5).filter(lambda a: len(a) != 3 or len(set(a)) < 3)
+        )
+    at = data.draw(st.integers(0, len(lines)))
+    bad = lines[:at] + [" ".join([word] + args)] + lines[at:]
+    with pytest.raises(ashg.GameFormatError):
+        ashg.parse_e3c("\n".join(bad) + "\n")
 
 
 class TestReductionProperties:

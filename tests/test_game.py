@@ -92,7 +92,7 @@ class TestUtility:
 
     def test_grand_coalition_in_split_gadget(self, split_gadget_112):
         gadget, grand = split_gadget_112
-        x1 = gadget.player("x1")
+        x1 = gadget.game.index("x1")
         assert ashg.utility(gadget.game, frozenset(range(gadget.game.n)), x1) == 4
 
     def test_player_must_be_member(self, example6):
@@ -155,6 +155,8 @@ class TestValidatePartition:
     def test_duplicate_player(self, example6):
         with pytest.raises(DuplicatePlayer):
             ashg.validate_partition(example6, [[0, 1], [1, 2, 3, 4, 5]])
+        with pytest.raises(DuplicatePlayer):
+            ashg.validate_partition(example6, [[0, 1, 1], [2, 3, 4, 5]])
 
     def test_missing_player(self, example6):
         with pytest.raises(MissingPlayer):

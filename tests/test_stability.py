@@ -108,9 +108,12 @@ class TestBlocking:
         assert ashg.find_weakly_blocking(g, ashg.Partition.grand(1)) is None
 
     def test_cap_refusal(self):
-        g = ashg.Game([f"p{i}" for i in range(5)])
-        with pytest.raises(TooLarge):
-            ashg.find_strongly_blocking(g, ashg.Partition.grand(5), cap=4)
+        # all zero: without the cap each scan would finish at once
+        g = ashg.Game([f"p{i}" for i in range(27)])
+        for finder in (ashg.find_strongly_blocking, ashg.find_weakly_blocking, ashg.find_csc_violation):
+            with pytest.raises(TooLarge) as exc:
+                finder(g, ashg.Partition.grand(27))
+            assert (exc.value.n, exc.value.cap) == (27, 26)
 
     def test_weak_without_strong(self):
         # b strictly gains in {a,b}, a is indifferent: the strict core fails
@@ -172,9 +175,11 @@ class TestParetoImprovement:
         assert ashg.find_pareto_improvement(g, ashg.Partition.singletons(3)) is None
 
     def test_cap_refusal(self):
-        g = ashg.Game([f"p{i}" for i in range(4)])
-        with pytest.raises(TooLarge):
-            ashg.find_pareto_improvement(g, ashg.Partition.grand(4), cap=3)
+        # all friends: without the cap the grand coalition improves at once
+        g = ashg.Game([f"p{i}" for i in range(13)], default=1)
+        with pytest.raises(TooLarge) as exc:
+            ashg.find_pareto_improvement(g, ashg.Partition.singletons(13))
+        assert (exc.value.n, exc.value.cap) == (13, 12)
 
 
 class TestVerify:
@@ -213,9 +218,12 @@ class TestCoreExists:
         assert ashg.core_exists(g) == ashg.Partition.grand(3)
 
     def test_cap_refusal(self):
-        g = ashg.Game([f"p{i}" for i in range(3)])
-        with pytest.raises(TooLarge):
-            ashg.core_exists(g, cap=2)
+        # all zero: without the cap the grand coalition is stable at once
+        g = ashg.Game([f"p{i}" for i in range(13)])
+        for strict in (False, True):
+            with pytest.raises(TooLarge) as exc:
+                ashg.core_exists(g, strict=strict)
+            assert (exc.value.n, exc.value.cap) == (13, 12)
 
 
 ALL_CONCEPTS = [C.NS, C.IS, C.CIS, C.CORE, C.STRICT_CORE, C.CSC, C.PARETO]
