@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cis import compute_cis, serialize_trace
-from .errors import AshgError
+from .errors import AshgError, GameFormatError
 from .formats import parse_game, parse_partition, serialize_game, serialize_partition
 from .gadgets import (
     PartitionInstance,
@@ -46,6 +46,13 @@ def _write(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GameFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _parse_weights(spec: str) -> PartitionInstance:
     spec = spec.strip()
     tokens = spec.replace(",", " ").split()
@@ -65,8 +72,7 @@ def _seed(token: str) -> int:
 def _load_weights(args) -> PartitionInstance:
     if args.weights is not None:
         return _parse_weights(args.weights)
-    text = Path(args.weights_file).read_text(encoding="utf-8")
-    return _parse_weights(text)
+    return _parse_weights(_read(args.weights_file))
 
 
 def _render_witness(game, witness) -> str:
@@ -86,7 +92,7 @@ def cmd_gen(args) -> int:
         _write(serialize_game(game, default=-33), args.out)
         return OK
     if args.kind == "e3c":
-        inst = parse_e3c(Path(args.spec).read_text(encoding="utf-8"))
+        inst = parse_e3c(_read(args.spec))
         gadget = reduce_e3c(inst)
         _write(serialize_game(gadget.game, default=-33), args.out)
         return OK
@@ -105,7 +111,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve_cis(args) -> int:
-    game = parse_game(Path(args.game).read_text(encoding="utf-8"))
+    game = parse_game(_read(args.game))
     partition, trace = compute_cis(game, seed=args.seed)
     # bug trap: the output must verify before it is reported
     if find_cis_deviation(game, partition) is not None:
@@ -121,8 +127,8 @@ _CONCEPTS = {c.value: c for c in StabilityConcept}
 
 
 def cmd_verify(args) -> int:
-    game = parse_game(Path(args.game).read_text(encoding="utf-8"))
-    partition = parse_partition(Path(args.partition).read_text(encoding="utf-8"), game)
+    game = parse_game(_read(args.game))
+    partition = parse_partition(_read(args.partition), game)
     verdict = verify(game, partition, _CONCEPTS[args.concept])
     if verdict.stable:
         print("stable")
@@ -132,7 +138,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    game = parse_game(Path(args.game).read_text(encoding="utf-8"))
+    game = parse_game(_read(args.game))
     found = core_exists(game, strict=args.concept == "strict-core")
     if found is None:
         print("none")
@@ -143,7 +149,7 @@ def cmd_search(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.kind == "e3c":
-        inst = parse_e3c(Path(args.spec).read_text(encoding="utf-8"))
+        inst = parse_e3c(_read(args.spec))
         cover = solve_e3c(inst)
         if cover is None:
             print("none")

@@ -20,15 +20,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import GameFormatError
-from .game import Game, Partition, validate_partition
+from .game import Game, Partition, Rational, validate_partition
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
-def parse_rational(token: str) -> Fraction:
+def parse_rational(token: str) -> Rational:
+    """An ``int`` for ``p``, a ``Fraction`` for ``p/q``."""
     if not _RATIONAL_RE.fullmatch(token):
         raise GameFormatError(f"bad rational: {token!r} (use p or p/q with q > 0)")
-    return Fraction(token)
+    # the regex admits ASCII digits only, which is all int() then sees
+    return Fraction(token) if "/" in token else int(token)
 
 
 def format_rational(value: Fraction) -> str:

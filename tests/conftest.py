@@ -15,6 +15,9 @@ import pytest
 from hypothesis import strategies as st
 
 import ashg
+from ashg.cis import CisTrace, HelpersAdded, LatecomerJoined, LeaderChosen, NeededAdded
+from ashg.errors import EmptyGame
+from ashg.game import int_utility
 
 
 @pytest.fixture
@@ -39,6 +42,15 @@ def random_game(rng: random.Random, n: int, lo=-10, hi=10, density=0.5) -> ashg.
         for j in range(n):
             if i != j and rng.random() < density:
                 rows[i][j] = rng.randint(lo, hi)
+    return ashg.Game.from_matrix([f"p{i}" for i in range(n)], rows)
+
+
+def sparse_game(rng: random.Random, n: int, degree: int = 8) -> ashg.Game:
+    """Each player values ``degree`` others at nonzero integers in -10..10."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in rng.sample([j for j in range(n) if j != i], min(n - 1, degree)):
+            rows[i][j] = rng.choice([v for v in range(-10, 11) if v])
     return ashg.Game.from_matrix([f"p{i}" for i in range(n)], rows)
 
 
@@ -139,6 +151,72 @@ def brute_has_deviation(game: ashg.Game, partition: ashg.Partition, concept: str
                 continue
             return True
     return False
+
+
+def reference_cis(game: ashg.Game, seed=None):
+    """The rescanning CIS construction that ``compute_cis`` must match exactly.
+
+    Every step recomputes from scratch: the next pick is the minimum-rank
+    remaining player, each coalition's worth is summed over all its members,
+    and every absorption rescans the sorted pool with ``all``/``any`` over the
+    coalition.
+    """
+    n = game.n
+    if n == 0:
+        raise EmptyGame()
+    rows = game.rows
+    if seed is None:
+        priority = list(range(n))
+    else:
+        priority = list(range(n))
+        random.Random(seed).shuffle(priority)
+    rank = {p: k for k, p in enumerate(priority)}
+
+    remaining = set(range(n))
+    coalitions = []
+    steps = []
+
+    while remaining:
+        a = min(remaining, key=rank.__getitem__)
+        row = rows[a]
+        pool_friends = [b for b in remaining if row[b] > 0]
+        h = int_utility(game, a, pool_friends)
+        z = -1  # index into coalitions; -1 = found none, a becomes a leader
+        for k, members in enumerate(coalitions):
+            h2 = int_utility(game, a, members)
+            # strictly-greater update: ties keep the earliest-created target
+            if h < h2 and all(rows[b][a] == 0 for b in members):
+                h = h2
+                z = k
+        if z >= 0:
+            coalitions[z].add(a)
+            remaining.discard(a)
+            steps.append(LatecomerJoined(a, z + 1))
+        else:
+            z = len(coalitions)
+            members = {a} | set(pool_friends)
+            coalitions.append(members)
+            remaining -= members
+            steps.append(LeaderChosen(a, z + 1))
+            if pool_friends:
+                steps.append(HelpersAdded(z + 1, tuple(sorted(pool_friends))))
+        # absorb needed players: unanimously tolerated, strictly liked by someone
+        members = coalitions[z]
+        while True:
+            absorbed = None
+            for j in sorted(remaining):
+                if all(rows[i][j] >= 0 for i in members) and any(
+                    rows[i][j] > 0 for i in members
+                ):
+                    absorbed = j
+                    break
+            if absorbed is None:
+                break
+            remaining.discard(absorbed)
+            members.add(absorbed)
+            steps.append(NeededAdded(absorbed, z + 1))
+
+    return ashg.Partition(coalitions), CisTrace(tuple(steps))
 
 
 def brute_solve_partition(weights):

@@ -232,6 +232,36 @@ class TestOracle:
         assert "bad weight list" in capsys.readouterr().err
 
 
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is an input error naming the file, not a traceback."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"players a b\n\xff\n")
+        return str(path)
+
+    def check(self, capsys, argv, bad):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bad in err and "UTF-8" in err
+
+    def test_solve_cis(self, capsys, bad):
+        self.check(capsys, ["solve-cis", bad], bad)
+
+    def test_verify_game_file(self, capsys, bad, ex6_partition_file):
+        self.check(capsys, ["verify", bad, ex6_partition_file, "--concept", "ns"], bad)
+
+    def test_verify_partition_file(self, capsys, bad, ex6_file):
+        self.check(capsys, ["verify", ex6_file, bad, "--concept", "ns"], bad)
+
+    def test_gen_e3c_spec(self, capsys, bad):
+        self.check(capsys, ["gen", "e3c", "--spec", bad], bad)
+
+    def test_oracle_weights_file(self, capsys, bad):
+        self.check(capsys, ["oracle", "partition", "--weights-file", bad], bad)
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

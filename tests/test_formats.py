@@ -31,6 +31,13 @@ class TestParseRational:
         assert parse_rational(token) == expected
 
     @pytest.mark.parametrize(
+        "token,kind", [("3", int), ("-0", int), ("+2", int), ("1/2", Fraction), ("4/2", Fraction)]
+    )
+    def test_value_type(self, token, kind):
+        # integers skip Fraction's second parse; Game accepts both forms
+        assert type(parse_rational(token)) is kind
+
+    @pytest.mark.parametrize(
         "token", ["1/0", "1/-2", "0.5", "1 / 2", "", "a", "1/+2", "3\n", "\u0661\u0662", "\u0663/4"]
     )
     def test_invalid(self, token):
