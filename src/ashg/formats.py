@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import GameFormatError
-from .game import Game, Partition, Rational, validate_partition
+from .game import Game, Partition, Rational, _from_cells, validate_partition
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
@@ -30,7 +30,7 @@ def parse_rational(token: str) -> Rational:
     if not _RATIONAL_RE.fullmatch(token):
         raise GameFormatError(f"bad rational: {token!r} (use p or p/q with q > 0)")
     # the regex admits ASCII digits only, which is all int() then sees
-    return Fraction(token) if "/" in token else int(token)
+    return Fraction(*map(int, token.split("/"))) if "/" in token else int(token)
 
 
 def format_rational(value: Fraction) -> str:
@@ -38,48 +38,52 @@ def format_rational(value: Fraction) -> str:
 
 
 def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = (line.split("#", 1)[0] if "#" in line else line).split()
+        if tokens:
+            yield lineno, tokens
 
 
 def parse_game(text: str) -> Game:
-    labels = None
-    default = None
-    values = {}
-    for lineno, tokens in _content_lines(text):
-        kind, args = tokens[0], tokens[1:]
-        if labels is None:
-            if kind != "players":
-                raise GameFormatError(f"line {lineno}: expected a 'players' line first")
-            if not args:
-                raise GameFormatError(f"line {lineno}: a game needs at least one player")
-            labels = args
-            known = set(labels)
-            if len(known) != len(labels):
-                raise GameFormatError(f"line {lineno}: duplicate player label")
-            continue
-        if kind == "default":
-            if len(args) != 1:
+    """Each value is held once, as an int or ``Fraction(int, int)``, then scaled into integer rows."""
+    lines = _content_lines(text)
+    lineno, tokens = next(lines, (0, None))
+    if tokens is None:
+        raise GameFormatError("empty game file")
+    if tokens[0] != "players":
+        raise GameFormatError(f"line {lineno}: expected a 'players' line first")
+    labels = tuple(tokens[1:])
+    if not labels:
+        raise GameFormatError(f"line {lineno}: a game needs at least one player")
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise GameFormatError(f"line {lineno}: duplicate player label")
+    cells = [{} for _ in labels]  # per row: column -> value as given
+    default = self_valued = None  # self_valued: the first label with a nonzero self-value
+    for lineno, tokens in lines:
+        if tokens[0] == "val":
+            if len(tokens) != 4:
+                raise GameFormatError(f"line {lineno}: val takes <from> <to> <rational>")
+            _, a, b, tok = tokens
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                raise GameFormatError(f"line {lineno}: undeclared player in val line")
+            if j in cells[i]:
+                raise GameFormatError(f"line {lineno}: duplicate val for pair {a} {b}")
+            cells[i][j] = value = parse_rational(tok)
+            if i == j and value != 0 and self_valued is None:
+                self_valued = a
+        elif tokens[0] == "default":
+            if len(tokens) != 2:
                 raise GameFormatError(f"line {lineno}: default takes one rational")
             if default is not None:
                 raise GameFormatError(f"line {lineno}: duplicate default line")
-            default = parse_rational(args[0])
-        elif kind == "val":
-            if len(args) != 3:
-                raise GameFormatError(f"line {lineno}: val takes <from> <to> <rational>")
-            a, b, tok = args
-            if a not in known or b not in known:
-                raise GameFormatError(f"line {lineno}: undeclared player in val line")
-            if (a, b) in values:
-                raise GameFormatError(f"line {lineno}: duplicate val for pair {a} {b}")
-            values[(a, b)] = parse_rational(tok)
+            default = parse_rational(tokens[1])
         else:
-            raise GameFormatError(f"line {lineno}: unknown directive {kind!r}")
-    if labels is None:
-        raise GameFormatError("empty game file")
-    return Game(labels, values, default=default if default is not None else 0)
+            raise GameFormatError(f"line {lineno}: unknown directive {tokens[0]!r}")
+    if self_valued is not None:
+        raise GameFormatError(f"nonzero self-value for player {self_valued!r}")
+    return _from_cells(labels, cells, 0 if default is None else default)
 
 
 def serialize_game(game: Game, default: Optional[Fraction] = None) -> str:

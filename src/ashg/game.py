@@ -44,6 +44,29 @@ def _as_rational(value) -> Rational:
     return Fraction(value)
 
 
+def _scaled(cells: list, default: Rational) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """Integer rows over one lcm scale from per-row dicts ``{column: int or Fraction}``."""
+    n = len(cells)  # the default counts only if some off-diagonal pair takes it
+    uses_default = any(len(row) - (i in row) < n - 1 for i, row in enumerate(cells))
+    denominators = {v.denominator for row in cells for v in row.values() if type(v) is Fraction}
+    scale = math.lcm(*denominators, default.denominator if uses_default else 1)
+    fill = default.numerator * (scale // default.denominator) if uses_default else 0
+    rows = [[fill] * n for _ in cells]
+    for i, row in enumerate(cells):
+        for j, v in row.items():
+            rows[i][j] = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+        rows[i][i] = 0
+    return tuple(map(tuple, rows)), scale
+
+
+def _from_cells(labels: Tuple[str, ...], cells: list, default: Rational) -> "Game":
+    """The trusted constructor: labels valid and distinct, no nonzero self-value in ``cells``."""
+    game = Game.__new__(Game)
+    game.labels, game._index = labels, {lab: i for i, lab in enumerate(labels)}
+    game.rows, game.scale = _scaled(cells, default)
+    return game
+
+
 class Game:
     """An additively separable hedonic game over ``n`` labeled players.
 
@@ -57,49 +80,10 @@ class Game:
 
     __slots__ = ("labels", "_index", "rows", "scale")
 
-    def __init__(
-        self,
-        labels: Sequence[str],
-        values: Mapping[Tuple[str, str], Rational] = (),
-        default: Rational = 0,
-    ):
-        labels = tuple(labels)
-        if not labels:
-            raise EmptyGame()
-        seen = set()
-        for lab in labels:
-            if not isinstance(lab, str) or not _LABEL_RE.fullmatch(lab):
-                raise GameFormatError(f"bad player label: {lab!r}")
-            if lab in seen:
-                raise GameFormatError(f"duplicate player label: {lab!r}")
-            seen.add(lab)
-        self.labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
-        n = len(labels)
-        d = _as_rational(default)
-        cells = []
-        for (a, b), v in dict(values).items():
-            i, j = self.index(a), self.index(b)
-            v = _as_rational(v)
-            if i == j:
-                if v != 0:
-                    raise GameFormatError(f"nonzero self-value for player {a!r}")
-                continue
-            cells.append((i, j, v))
-        # the default counts towards the scale only if some pair takes it
-        uses_default = len(cells) < n * (n - 1)
-        denominators = {v.denominator for _i, _j, v in cells}
-        if uses_default:
-            denominators.add(d.denominator)
-        scale = math.lcm(*denominators)
-        fill = d.numerator * (scale // d.denominator) if uses_default else 0
-        rows = [[fill] * n for _ in range(n)]
-        for i, j, v in cells:
-            rows[i][j] = v.numerator * (scale // v.denominator)
-        for i in range(n):
-            rows[i][i] = 0
-        self.rows = tuple(map(tuple, rows))
-        self.scale = scale
+    def __init__(self, labels: Sequence[str], values: Mapping[Tuple[str, str], Rational] = (),
+                 default: Rational = 0):
+        entries = ((self.index(a), self.index(b), v) for (a, b), v in dict(values).items())
+        self._init(labels, entries, default)  # indexes the labels before the first lookup
 
     @classmethod
     def from_matrix(cls, labels: Sequence[str], rows: Sequence[Sequence[Rational]]) -> "Game":
@@ -107,7 +91,29 @@ class Game:
         labels = tuple(labels)
         if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
             raise GameFormatError("matrix shape does not match the player count")
-        return cls(labels, {(a, b): v for a, row in zip(labels, rows) for b, v in zip(labels, row)})
+        game = cls.__new__(cls)
+        game._init(labels, ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)), 0)
+        return game
+
+    def _init(self, labels: Sequence[str], entries: Iterable[Tuple[int, int, object]], default) -> None:
+        """Check the labels, the default, then each ``(i, j, value)`` once and in order."""
+        labels = tuple(labels)
+        if not labels:
+            raise EmptyGame()
+        self.labels, self._index = labels, {}
+        for i, lab in enumerate(labels):
+            if not isinstance(lab, str) or not _LABEL_RE.fullmatch(lab):
+                raise GameFormatError(f"bad player label: {lab!r}")
+            if self._index.setdefault(lab, i) != i:
+                raise GameFormatError(f"duplicate player label: {lab!r}")
+        default = _as_rational(default)
+        cells = [{} for _ in labels]
+        for i, j, v in entries:
+            v = _as_rational(v)
+            if i == j and v != 0:
+                raise GameFormatError(f"nonzero self-value for player {labels[i]!r}")
+            cells[i][j] = v
+        self.rows, self.scale = _scaled(cells, default)
 
     @property
     def n(self) -> int:

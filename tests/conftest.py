@@ -8,7 +8,9 @@ generator, so library results can be checked against an independent route.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import ashg
 from ashg.cis import CisTrace, HelpersAdded, LatecomerJoined, LeaderChosen, NeededAdded
-from ashg.errors import EmptyGame
+from ashg.errors import EmptyGame, GameFormatError
 from ashg.game import int_utility
 
 
@@ -230,3 +232,96 @@ def brute_solve_partition(weights):
                 if best is None or sorted(combo) < sorted(best):
                     best = combo
     return best if best is None else tuple(sorted(best))
+
+
+_REFERENCE_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
+_REFERENCE_LABEL_RE = re.compile(r"[^\s#]+")
+
+
+def reference_parse_game(text: str):
+    """The label-keyed game parser that ``parse_game`` must match exactly.
+
+    Every value is parsed with ``Fraction(str)`` into a dict keyed by label
+    pairs, and the game is then built from that dict, looking both labels of
+    every cell up again by name.
+    Returns ``(labels, rows, scale)``.
+    """
+
+    def parse_rational(token):
+        if not _REFERENCE_RATIONAL_RE.fullmatch(token):
+            raise GameFormatError(f"bad rational: {token!r} (use p or p/q with q > 0)")
+        return Fraction(token) if "/" in token else int(token)
+
+    def content_lines(text):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line.split()
+
+    labels = None
+    default = None
+    values = {}
+    for lineno, tokens in content_lines(text):
+        kind, args = tokens[0], tokens[1:]
+        if labels is None:
+            if kind != "players":
+                raise GameFormatError(f"line {lineno}: expected a 'players' line first")
+            if not args:
+                raise GameFormatError(f"line {lineno}: a game needs at least one player")
+            labels = args
+            known = set(labels)
+            if len(known) != len(labels):
+                raise GameFormatError(f"line {lineno}: duplicate player label")
+            continue
+        if kind == "default":
+            if len(args) != 1:
+                raise GameFormatError(f"line {lineno}: default takes one rational")
+            if default is not None:
+                raise GameFormatError(f"line {lineno}: duplicate default line")
+            default = parse_rational(args[0])
+        elif kind == "val":
+            if len(args) != 3:
+                raise GameFormatError(f"line {lineno}: val takes <from> <to> <rational>")
+            a, b, tok = args
+            if a not in known or b not in known:
+                raise GameFormatError(f"line {lineno}: undeclared player in val line")
+            if (a, b) in values:
+                raise GameFormatError(f"line {lineno}: duplicate val for pair {a} {b}")
+            values[(a, b)] = parse_rational(tok)
+        else:
+            raise GameFormatError(f"line {lineno}: unknown directive {kind!r}")
+    if labels is None:
+        raise GameFormatError("empty game file")
+
+    # Game(labels, values, default)
+    labels = tuple(labels)
+    seen = set()
+    for lab in labels:
+        if not isinstance(lab, str) or not _REFERENCE_LABEL_RE.fullmatch(lab):
+            raise GameFormatError(f"bad player label: {lab!r}")
+        if lab in seen:
+            raise GameFormatError(f"duplicate player label: {lab!r}")
+        seen.add(lab)
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    d = default if default is not None else 0
+    cells = []
+    for (a, b), v in values.items():
+        i, j = index[a], index[b]
+        if i == j:
+            if v != 0:
+                raise GameFormatError(f"nonzero self-value for player {a!r}")
+            continue
+        cells.append((i, j, v))
+    uses_default = len(cells) < n * (n - 1)
+    denominators = {v.denominator for _i, _j, v in cells}
+    if uses_default:
+        denominators.add(d.denominator)
+    scale = math.lcm(*denominators)
+    fill = d.numerator * (scale // d.denominator) if uses_default else 0
+    rows = [[fill] * n for _ in range(n)]
+    for i, j, v in cells:
+        rows[i][j] = v.numerator * (scale // v.denominator)
+    for i in range(n):
+        rows[i][i] = 0
+    return labels, tuple(map(tuple, rows)), scale

@@ -1,6 +1,7 @@
 """Game and partition text formats: parsing, canonical serialization, round trips."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ashg
-from ashg.errors import DuplicatePlayer, GameFormatError, MissingPlayer, UnknownPlayer
+from ashg.errors import AshgError, DuplicatePlayer, GameFormatError, MissingPlayer, UnknownPlayer
 from ashg.formats import parse_rational
 
-from conftest import TOKENS, random_rational_rows
+from conftest import TOKENS, random_rational_rows, reference_parse_game
 
 GOOD = """\
 # three players
@@ -45,6 +46,11 @@ class TestParseRational:
             parse_rational(token)
 
 
+def exactly(message):
+    """A ``pytest.raises`` pattern that matches the whole message and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
 class TestParseGame:
     def test_basic(self):
         g = ashg.parse_game(GOOD)
@@ -55,19 +61,23 @@ class TestParseGame:
         assert g.value(0, 0) == 0
 
     def test_players_line_must_come_first(self):
-        with pytest.raises(GameFormatError):
+        with pytest.raises(GameFormatError, match=exactly("line 1: expected a 'players' line first")):
             ashg.parse_game("val a b 1\nplayers a b\n")
 
     def test_empty_file(self):
-        with pytest.raises(GameFormatError):
+        with pytest.raises(GameFormatError, match=exactly("empty game file")):
             ashg.parse_game("# nothing here\n")
 
     def test_zero_players(self):
-        with pytest.raises(GameFormatError):
+        with pytest.raises(GameFormatError, match=exactly("line 1: a game needs at least one player")):
             ashg.parse_game("players\n")
 
+    def test_duplicate_player_label(self):
+        with pytest.raises(GameFormatError, match=exactly("line 2: duplicate player label")):
+            ashg.parse_game("\nplayers a b a\n")
+
     def test_duplicate_val_pair(self):
-        with pytest.raises(GameFormatError):
+        with pytest.raises(GameFormatError, match=exactly("line 3: duplicate val for pair a b")):
             ashg.parse_game("players a b\nval a b 1\nval a b 2\n")
 
     def test_reversed_pair_is_not_a_duplicate(self):
@@ -75,20 +85,132 @@ class TestParseGame:
         assert (g.value(0, 1), g.value(1, 0)) == (1, 2)
 
     def test_duplicate_default(self):
-        with pytest.raises(GameFormatError):
+        with pytest.raises(GameFormatError, match=exactly("line 3: duplicate default line")):
             ashg.parse_game("players a b\ndefault 1\ndefault 2\n")
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [("val a b", "val takes <from> <to> <rational>"), ("val a b 1 2", "val takes <from> <to> <rational>"),
+         ("default", "default takes one rational"), ("default 1 2", "default takes one rational")],
+    )
+    def test_wrong_arity(self, line, message):
+        with pytest.raises(GameFormatError, match=exactly(f"line 2: {message}")):
+            ashg.parse_game(f"players a b\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["val a b 1/0", "default 1/0"])
+    def test_bad_rational(self, line):
+        with pytest.raises(GameFormatError, match=exactly("bad rational: '1/0' (use p or p/q with q > 0)")):
+            ashg.parse_game(f"players a b\n{line}\n")
+
     def test_undeclared_player(self):
-        with pytest.raises(GameFormatError):
-            ashg.parse_game("players a b\nval a z 1\n")
+        for line in ["val a z 1", "val z a 1"]:
+            with pytest.raises(GameFormatError, match=exactly("line 2: undeclared player in val line")):
+                ashg.parse_game(f"players a b\n{line}\n")
 
     def test_nonzero_self_value(self):
-        with pytest.raises(GameFormatError):
+        with pytest.raises(GameFormatError, match=exactly("nonzero self-value for player 'a'")):
             ashg.parse_game("players a b\nval a a 5\n")
 
+    def test_first_nonzero_self_value_in_file_order_is_reported(self):
+        with pytest.raises(GameFormatError, match=exactly("nonzero self-value for player 'b'")):
+            ashg.parse_game("players a b\nval b b 1\nval a a 2\n")
+
+    def test_line_errors_win_over_a_nonzero_self_value(self):
+        with pytest.raises(GameFormatError, match=exactly("bad rational: 'x' (use p or p/q with q > 0)")):
+            ashg.parse_game("players a b\nval a a 5\nval a b x\n")
+
     def test_unknown_directive(self):
-        with pytest.raises(GameFormatError):
+        with pytest.raises(GameFormatError, match=exactly("line 2: unknown directive 'weight'")):
             ashg.parse_game("players a b\nweight a b 1\n")
+
+    def test_second_players_line_is_an_unknown_directive(self):
+        with pytest.raises(GameFormatError, match=exactly("line 3: unknown directive 'players'")):
+            ashg.parse_game("players a b\n# again\nplayers c\n")
+
+    @pytest.mark.parametrize(
+        "sep", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+    )
+    def test_every_line_break_counts_for_line_numbers(self, sep):
+        # str.splitlines breaks on all of these, so they number lines alike
+        text = sep.join(["players a b # c", "val a b 1", "val a b 2"]) + sep
+        with pytest.raises(GameFormatError, match=exactly("line 3: duplicate val for pair a b")):
+            ashg.parse_game(text)
+        with pytest.raises(GameFormatError, match=exactly("line 3: set takes exactly 3 elements")):
+            ashg.parse_e3c(sep.join(["universe 1 2 3", "set 1 2 3", "set 1 2"]))
+
+
+GOOD_RATIONALS = st.one_of(
+    st.sampled_from(["4/2", "0/7", "-6/4", "+3", "-0", "0", "+0/5", "-12/8"]),
+    st.integers(-30, 30).map(str),
+    st.tuples(st.integers(-30, 30), st.integers(1, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+)
+BAD_RATIONALS = st.sampled_from(["1/0", "0.5", "x", "1/-2", "+-1", "1//2", "\u0661", "3/", "/3", "1/+2"])
+FAULTS = ["rational", "arity", "undeclared", "duplicate", "players", "before", "default"]
+
+
+@st.composite
+def game_files(draw):
+    """Game file text: valid apart from at most one injected bad line."""
+    labels = draw(st.lists(TOKENS, min_size=1, max_size=5, unique=True))
+    pick = st.sampled_from(labels)
+    every = [(a, b) for a in labels for b in labels if a != b]  # all given: a default no pair takes
+    pairs = []
+    if every:
+        pairs = draw(st.lists(st.sampled_from(every), unique=True, max_size=12) | st.permutations(every))
+    # self-values in any order, zero or not: only the first nonzero one in the file is reported
+    selves = draw(st.permutations(labels))[: draw(st.integers(0, len(labels)))]
+    self_values = st.sampled_from(["0", "-0", "0/4"]) | GOOD_RATIONALS
+    body = [f"val {a} {b} {draw(GOOD_RATIONALS)}" for a, b in pairs]
+    body += [f"val {a} {a} {draw(self_values)}" for a in selves]
+    lines = ["players " + " ".join(labels)] + draw(st.permutations(body))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "default " + draw(GOOD_RATIONALS))
+    fault = draw(st.none() | st.sampled_from(FAULTS))
+    where = draw(st.integers(1, len(lines)))
+    a, b = draw(pick), draw(pick)
+    if fault == "rational":
+        lines.insert(where, f"val {a} {b} {draw(BAD_RATIONALS)}")
+    elif fault == "arity":
+        short_or_long = [f"val {a} {b}", f"val {a} {b} 1 2", "default", "default 1 2"]
+        lines.insert(where, draw(st.sampled_from(short_or_long)))
+    elif fault == "undeclared":
+        stranger = draw(TOKENS.filter(lambda t: t not in labels))
+        lines.insert(where, draw(st.sampled_from([f"val {a} {stranger} 1", f"val {stranger} {b} 1"])))
+    elif fault == "duplicate":
+        lines.insert(where, f"val {a} {b} 1")
+        lines.insert(draw(st.integers(where + 1, len(lines))), f"val {a} {b} {draw(GOOD_RATIONALS)}")
+    elif fault == "players":
+        lines.insert(where, "players " + " ".join(labels))
+    elif fault == "before":
+        lines.insert(0, f"val {a} {b} 1")
+    elif fault == "default":
+        lines.insert(where, "default 1")
+        lines.insert(draw(st.integers(where + 1, len(lines))), "default " + draw(GOOD_RATIONALS))
+    decorated = []
+    for line in lines:
+        decorated += draw(st.lists(st.sampled_from(["", "   ", "# note", "  #"]), max_size=2))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        comment = draw(st.sampled_from(["", " # x", "#", "\t# val a b 1"]))
+        decorated.append(pad + line + comment)
+    sep = draw(st.sampled_from(["\n", "\r\n", "\x0c", "\u2028"]))
+    return sep.join(decorated) + draw(st.sampled_from(["", sep]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except AshgError as exc:
+        return type(exc), str(exc)
+
+
+@given(text=game_files())
+@settings(max_examples=400, deadline=None)
+def test_parse_game_matches_reference(text):
+    def parse(text):
+        g = ashg.parse_game(text)
+        return g.labels, g.rows, g.scale
+
+    assert _outcome(parse, text) == _outcome(reference_parse_game, text)
 
 
 class TestSerializeGame:

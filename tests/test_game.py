@@ -17,7 +17,7 @@ from ashg.errors import (
     UnknownPlayer,
 )
 
-from conftest import brute_utility, random_game
+from conftest import brute_utility, random_game, random_rational_rows
 
 
 def idx(game, *labels):
@@ -186,6 +186,22 @@ class TestIndividualRationality:
             True,
             None,
         )
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_from_matrix_matches_label_pairs(data, n):
+    import random
+
+    rows = random_rational_rows(random.Random(data.draw(st.integers(0, 2**32))), n)
+    labels = [f"p{i}" for i in range(n)]
+    values = {(a, b): v for a, row in zip(labels, rows) for b, v in zip(labels, row)}
+    assert ashg.Game.from_matrix(labels, rows) == ashg.Game(labels, values)
+    # a float is rejected wherever it sits, the zero diagonal included
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows[i][j] = float(rows[i][j])
+    with pytest.raises(GameFormatError, match="floating-point value"):
+        ashg.Game.from_matrix(labels, rows)
 
 
 @given(data=st.data(), n=st.integers(2, 6))
