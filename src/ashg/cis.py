@@ -9,8 +9,11 @@ current coalition unanimously tolerates and someone strictly likes are
 absorbed one by one (needed players).
 
 The pick order is the remaining player with the lowest index by default, or
-a seeded shuffle; the output is contractually individually stable for every
-order.
+a seeded shuffle. The output is meant to be contractually individually
+stable, but some orders give a partition that is not: the ``bug6`` game of
+``tests/test_cis.py`` with seed 4, and about 1 in 18,000 orders on small
+dense games. ``ashg solve-cis`` refuses such output with exit 1; item 1 of
+ROADMAP.md tracks the fix.
 
 Cost: one pass over a player's row when it is picked and one when it joins,
 visiting only nonzero entries, plus heap work on the liked entries: O(n^2)

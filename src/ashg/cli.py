@@ -118,7 +118,7 @@ def cmd_solve_cis(args) -> int:
         print("internal error: produced partition is not CIS stable", file=sys.stderr)
         return ERROR
     _write(serialize_partition(game, partition), args.out)
-    if args.trace:
+    if args.trace or args.trace_out is not None:
         _write(serialize_trace(game, trace), args.trace_out)
     return OK
 
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--seed", type=_seed, help="seeded player pick order")
     p.add_argument("--trace", action="store_true", help="also emit the construction trace")
-    p.add_argument("--trace-out", help="trace file path (default stdout)")
+    p.add_argument("--trace-out", help="trace file path; implies --trace (default stdout)")
     p.add_argument("--out", "-o", help="partition file path (default stdout)")
     p.set_defaults(func=cmd_solve_cis)
 

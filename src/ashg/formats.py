@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import GameFormatError
-from .game import Game, Partition, Rational, _from_cells, validate_partition
+from .game import Game, Partition, Rational, _as_rational, _from_cells, validate_partition
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
@@ -31,10 +31,6 @@ def parse_rational(token: str) -> Rational:
         raise GameFormatError(f"bad rational: {token!r} (use p or p/q with q > 0)")
     # the regex admits ASCII digits only, which is all int() then sees
     return Fraction(*map(int, token.split("/"))) if "/" in token else int(token)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
 
 
 def _content_lines(text: str):
@@ -86,19 +82,19 @@ def parse_game(text: str) -> Game:
     return _from_cells(labels, cells, 0 if default is None else default)
 
 
-def serialize_game(game: Game, default: Optional[Fraction] = None) -> str:
+def serialize_game(game: Game, default: Optional[Rational] = None) -> str:
     """Canonical text form; off-diagonal entries equal to ``default`` are elided."""
-    lines = ["players " + " ".join(game.labels)]
-    base = Fraction(0) if default is None else Fraction(default)
+    labels, scale = game.labels, game.scale
+    lines = ["players " + " ".join(labels)]
+    base = 0 if default is None else _as_rational(default)
     if default is not None:
-        lines.append(f"default {format_rational(base)}")
+        lines.append(f"default {base}")
+    elided = base * scale  # no scaled int equals it unless it is whole
+    elided = elided.numerator if elided.denominator == 1 else None
     for i, row in enumerate(game.rows):
         for j, scaled in enumerate(row):
-            if i == j:
-                continue
-            v = Fraction(scaled, game.scale)
-            if v != base:
-                lines.append(f"val {game.labels[i]} {game.labels[j]} {format_rational(v)}")
+            if scaled != elided and i != j:
+                lines.append(f"val {labels[i]} {labels[j]} {Fraction(scaled, scale)}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,8 @@ improvements and ``core_exists`` scan partitions in lexicographic
 restricted-growth-string order.
 
 Each order is one depth-first walk that cuts the branches that cannot
-produce a witness, so the witnesses are those of the full enumeration.
+produce a witness and stops at the first leaf its search accepts, so the
+witnesses are those of the full enumeration.
 
 All comparisons run on the game's integer rows, so results are exact.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from .errors import TooLarge
 from .game import Coalition, Game, Partition, int_utility, is_individually_rational, validate_partition
@@ -111,18 +112,15 @@ def _positive_prefixes(rows) -> List[List[int]]:
     return [list(accumulate((v if v > 0 else 0 for v in row), initial=0)) for row in rows]
 
 
-_Walk = Iterator[Tuple[List, List[int]]]  # (members or blocks, have)
-
-
-def _coalitions(rows, pos, floor) -> _Walk:
-    """Nonempty coalitions whose members all reach ``floor``, by ascending mask.
+def _first_coalition(rows, pos, floor, accept):
+    """``(members, have)`` of the first coalition, by ascending mask, that ``accept`` takes.
 
     Players are decided from the highest index down, each left out before it
     is taken in. ``have[p]`` is member ``p``'s utility toward the members
     taken so far; a branch is cut once a member's ``have`` plus its positive
     values toward the undecided players falls below its floor. At a leaf that
-    bound is the exact utility. Yields the members (highest first) and
-    ``have``; both lists are reused, so copy what you keep.
+    bound is the exact utility; the first leaf ``accept(members, have)`` takes
+    ends the walk, which returns both lists as they stand (members highest first).
     """
     have = [0] * len(rows)
     members: List[int] = []
@@ -132,12 +130,10 @@ def _coalitions(rows, pos, floor) -> _Walk:
 
     def walk(k):
         if k == 0:
-            if members:
-                yield members, have
-            return
+            return bool(members) and accept(members, have)
         i = k - 1
-        if reachable(i):
-            yield from walk(i)
+        if reachable(i) and walk(i):
+            return True
         row = rows[i]
         own = 0
         for p in members:
@@ -145,24 +141,24 @@ def _coalitions(rows, pos, floor) -> _Walk:
             own += row[p]
         have[i] = own
         members.append(i)
-        if reachable(i):
-            yield from walk(i)
+        if reachable(i) and walk(i):
+            return True
         members.pop()
         for p in members:
             have[p] -= rows[p][i]
+        return False
 
-    return walk(len(rows))
+    return (members, have) if walk(len(rows)) else None
 
 
-def _partitions(rows, pos, floor) -> _Walk:
-    """Partitions in which every player reaches ``floor``, in RGS order.
+def _first_partition(rows, pos, floor, accept) -> Optional[Partition]:
+    """The first partition, in RGS order, whose leaf ``accept(have)`` takes.
 
     Player ``p`` goes into each earlier block in creation order and then into
     a new block, which is lexicographic restricted-growth-string order.
     ``have[q]`` is placed player ``q``'s utility toward its block so far; a
     branch is cut once a placed player's ``have`` plus its positive values
-    toward the unplaced players falls below its floor. Yields the blocks (in
-    creation order) and ``have``; both are reused, so copy what you keep.
+    toward the unplaced players falls below its floor.
     """
     n = len(rows)
     # need[q][p]: the least ``have[q]`` that can still reach q's floor once
@@ -173,8 +169,7 @@ def _partitions(rows, pos, floor) -> _Walk:
 
     def walk(p):
         if p == n:
-            yield blocks, have
-            return
+            return accept(have)
         row = rows[p]
         for b in range(len(blocks) + 1):
             if b == len(blocks):
@@ -186,50 +181,47 @@ def _partitions(rows, pos, floor) -> _Walk:
                 own += row[q]
             have[p] = own
             block.append(p)
-            if all(have[q] >= need[q][p] for q in range(p + 1)):
-                yield from walk(p + 1)
+            if all(have[q] >= need[q][p] for q in range(p + 1)) and walk(p + 1):
+                return True
             block.pop()
             for q in block:
                 have[q] -= rows[q][p]
         blocks.pop()
+        return False
 
-    return walk(0)
-
-
-def _blocking(rows, pos, cur, weak: bool) -> Iterator[BlockingWitness]:
-    """Coalitions blocking a partition whose utilities are ``cur``, by ascending mask.
-
-    Strong blocking needs every member strictly better off; weak blocking
-    needs every member at least as well off and one strictly better off.
-    """
-    if not weak:
-        for members, _have in _coalitions(rows, pos, [c + 1 for c in cur]):
-            coalition = frozenset(members)
-            yield BlockingWitness(coalition, "strong", coalition)
-        return
-    for members, have in _coalitions(rows, pos, cur):
-        better = frozenset(p for p in members if have[p] > cur[p])
-        if better:
-            yield BlockingWitness(frozenset(members), "weak", better)
+    return Partition(blocks) if walk(0) else None
 
 
-def _iter_blocking(game, part, weak: bool) -> Iterator[BlockingWitness]:
+def _blocking(game, partition, strong: bool, harmless=None) -> Optional[BlockingWitness]:
+    """First coalition, by ascending mask, that blocks ``partition``.
+
+    All members do at least as well (strictly, if ``strong``), one strictly
+    better, and ``harmless(part, members)`` holds if given."""
+    part = validate_partition(game, partition)
     if game.n > SUBSET_CAP:
         raise TooLarge(game.n, SUBSET_CAP)
     rows = game.rows
-    return _blocking(rows, _positive_prefixes(rows), _current_utilities(game, part), weak)
+    cur = _current_utilities(game, part)
+
+    def accept(members, have):
+        return any(have[p] > cur[p] for p in members) and (harmless is None or harmless(part, members))
+
+    found = _first_coalition(rows, _positive_prefixes(rows), [c + strong for c in cur], accept)
+    if found is None:
+        return None
+    members, have = found
+    better = frozenset(p for p in members if have[p] > cur[p])
+    return BlockingWitness(frozenset(members), "strong" if strong else "weak", better)
 
 
 def find_strongly_blocking(game: Game, partition) -> Optional[BlockingWitness]:
     """First coalition every member strictly prefers to its current block."""
-    part = validate_partition(game, partition)
-    return next(_iter_blocking(game, part, weak=False), None)
+    return _blocking(game, partition, strong=True)
 
 
 def find_weakly_blocking(game: Game, partition) -> Optional[BlockingWitness]:
     """First coalition all members weakly prefer, at least one strictly."""
-    part = validate_partition(game, partition)
-    return next(_iter_blocking(game, part, weak=True), None)
+    return _blocking(game, partition, strong=False)
 
 
 def find_csc_violation(game: Game, partition) -> Optional[BlockingWitness]:
@@ -239,13 +231,11 @@ def find_csc_violation(game: Game, partition) -> Optional[BlockingWitness]:
     ``C \\ S``; the coalition is a contractual-strict-core violation only if
     every remaining player does at least as well in its remainder.
     """
-    part = validate_partition(game, partition)
-    for w in _iter_blocking(game, part, weak=True):
-        s = w.coalition
-        # harmless: no one left behind loses value it had from S
-        if all(int_utility(game, j, block & s) <= 0 for block in part.blocks for j in block - s):
-            return w
-    return None
+    def harmless(part, members):  # no one left behind loses value it had from S
+        s = frozenset(members)
+        return all(int_utility(game, j, block & s) <= 0 for block in part.blocks for j in block - s)
+
+    return _blocking(game, partition, strong=False, harmless=harmless)
 
 
 def find_pareto_improvement(game: Game, partition) -> Optional[Partition]:
@@ -255,10 +245,7 @@ def find_pareto_improvement(game: Game, partition) -> Optional[Partition]:
         raise TooLarge(game.n, PARTITION_CAP)
     rows = game.rows
     base = _current_utilities(game, part)
-    for blocks, have in _partitions(rows, _positive_prefixes(rows), base):
-        if have != base:
-            return Partition(blocks)
-    return None
+    return _first_partition(rows, _positive_prefixes(rows), base, lambda have: have != base)
 
 
 def verify(game: Game, partition, concept: StabilityConcept) -> StabilityVerdict:
@@ -297,12 +284,13 @@ def core_exists(game: Game, strict: bool = False) -> Optional[Partition]:
     Only individually rational partitions are checked: a player below zero
     is strictly better off alone, so any other partition is blocked.
     """
-    n = game.n
-    if n > PARTITION_CAP:
-        raise TooLarge(n, PARTITION_CAP)
+    if game.n > PARTITION_CAP:
+        raise TooLarge(game.n, PARTITION_CAP)
     rows = game.rows
     pos = _positive_prefixes(rows)
-    for blocks, have in _partitions(rows, pos, [0] * n):
-        if next(_blocking(rows, pos, have[:], strict), None) is None:
-            return Partition(blocks)
-    return None
+
+    def unblocked(cur):  # no blocker by ``_blocking``'s rule: strong for core, weak for strict core
+        floor = [c + (not strict) for c in cur]
+        return _first_coalition(rows, pos, floor, lambda m, have: any(have[p] > cur[p] for p in m)) is None
+
+    return _first_partition(rows, pos, [0] * game.n, unblocked)

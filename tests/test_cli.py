@@ -106,6 +106,13 @@ class TestSolveCis:
         assert code == 0
         assert trace_path.read_text().splitlines()[0] == "leader 1 1"
 
+    def test_trace_out_implies_trace(self, capsys, ex6_file, tmp_path):
+        trace_path = tmp_path / "trace.txt"
+        code, out = run(capsys, "solve-cis", ex6_file, "--trace-out", str(trace_path))
+        assert code == 0
+        assert out == "1 2 3 5 6\n4\n"
+        assert trace_path.read_text().splitlines()[0] == "leader 1 1"
+
     def test_malformed_rational(self, capsys, tmp_path):
         path = tmp_path / "bad.game"
         path.write_text("players a b\nval a b 1/0\n")

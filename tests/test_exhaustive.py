@@ -87,6 +87,10 @@ def harmless(game, partition, coalition):
     return True
 
 
+def strictly_better(game, pi, coalition):
+    return {p for p in coalition if brute_utility(game, coalition, p) > brute_utility(game, pi.block_of(p), p)}
+
+
 def test_blocking_witnesses_are_smallest_mask():
     for game, pi in corpus(1, 100, 8):
         for weak, finder in ((False, ashg.find_strongly_blocking), (True, ashg.find_weakly_blocking)):
@@ -98,12 +102,15 @@ def test_blocking_witnesses_are_smallest_mask():
             first = min(blockers, key=mask)
             assert w.coalition == first, (ashg.serialize_game(game), pi)
             if weak:
-                better = {p for p in first if brute_utility(game, first, p) > brute_utility(game, pi.block_of(p), p)}
-                assert w.strictly_better == better
+                assert (w.kind, w.strictly_better) == ("weak", strictly_better(game, pi, first))
+            else:
+                assert (w.kind, w.strictly_better) == ("strong", first)
         csc = [s for s in blockers if harmless(game, pi, s)]
         w = ashg.find_csc_violation(game, pi)
         if csc:
-            assert w.coalition == min(csc, key=mask), (ashg.serialize_game(game), pi)
+            first = min(csc, key=mask)
+            assert w.coalition == first, (ashg.serialize_game(game), pi)
+            assert (w.kind, w.strictly_better) == ("weak", strictly_better(game, pi, first))
         else:
             assert w is None, (ashg.serialize_game(game), pi)
 

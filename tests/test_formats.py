@@ -237,6 +237,19 @@ class TestSerializeGame:
         g = ashg.Game(["a", "b"], {("a", "b"): Fraction(2, 4)})
         assert "val a b 1/2" in ashg.serialize_game(g)
 
+    def test_float_default_rejected_as_in_game(self):
+        g = ashg.Game(["a", "b"])
+        message = exactly("floating-point value 0.1 rejected; use Fraction or int")
+        with pytest.raises(GameFormatError, match=message):
+            ashg.Game(["a", "b"], default=0.1)
+        with pytest.raises(GameFormatError, match=message):
+            ashg.serialize_game(g, default=0.1)
+
+    def test_default_off_the_scale_elides_nothing(self):
+        # scale 1: the default 1/2 is no whole number of units, so no cell equals it
+        text = ashg.serialize_game(ashg.Game(["a", "b"], {("a", "b"): 3}), default=Fraction(1, 2))
+        assert text == "players a b\ndefault 1/2\nval a b 3\nval b a 0\n"
+
 
 @given(data=st.data(), n=st.integers(1, 6))
 @settings(max_examples=100, deadline=None)
