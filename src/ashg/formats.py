@@ -15,6 +15,7 @@ produce identical bytes.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Optional
@@ -94,7 +95,9 @@ def serialize_game(game: Game, default: Optional[Rational] = None) -> str:
     for i, row in enumerate(game.rows):
         for j, scaled in enumerate(row):
             if scaled != elided and i != j:
-                lines.append(f"val {labels[i]} {labels[j]} {Fraction(scaled, scale)}")
+                q = scale // math.gcd(scaled, scale)  # in lowest terms, as str(Fraction(scaled, scale))
+                text = f"{scaled * q // scale}/{q}" if q > 1 else f"{scaled // scale}"
+                lines.append(f"val {labels[i]} {labels[j]} {text}")
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,9 @@ restricted-growth-string order.
 
 Each order is one depth-first walk that cuts the branches that cannot
 produce a witness and stops at the first leaf its search accepts, so the
-witnesses are those of the full enumeration.
+witnesses are those of the full enumeration. A CSC check first decides if
+any witness exists, deciding the most-connected players first and cutting
+on harm to players left out; then the mask-order walk finds the first one.
 
 All comparisons run on the game's integer rows, so results are exact.
 """
@@ -107,48 +109,75 @@ def find_cis_deviation(game: Game, partition) -> Optional[DeviationMove]:
     return _find_deviation(game, partition, admission=True, release=True)
 
 
-def _positive_prefixes(rows) -> List[List[int]]:
-    """``pos[p][k]``: the sum of player ``p``'s positive values toward players ``0..k-1``."""
-    return [list(accumulate((v if v > 0 else 0 for v in row), initial=0)) for row in rows]
+def _tables(rows):
+    """``(pos, likers, haters, touched)`` of a game: ``pos[p][k]`` sums ``p``'s positive
+    values toward players ``0..k-1``; the others hold, for each ``i``, the players
+    decided before ``i`` (higher indices) who value it above 0, below 0, or either."""
+    n = len(rows)
+    likers = [[p for p in range(i + 1, n) if rows[p][i] > 0] for i in range(n)]
+    haters = [[p for p in range(i + 1, n) if rows[p][i] < 0] for i in range(n)]
+    pos = [list(accumulate((v if v > 0 else 0 for v in row), initial=0)) for row in rows]
+    return pos, likers, haters, [a + b for a, b in zip(likers, haters)]
 
 
-def _first_coalition(rows, pos, floor, accept):
+def _first_coalition(rows, tables, floor, accept, block=None):
     """``(members, have)`` of the first coalition, by ascending mask, that ``accept`` takes.
 
-    Players are decided from the highest index down, each left out before it
-    is taken in. ``have[p]`` is member ``p``'s utility toward the members
-    taken so far; a branch is cut once a member's ``have`` plus its positive
-    values toward the undecided players falls below its floor. At a leaf that
-    bound is the exact utility; the first leaf ``accept(members, have)`` takes
-    ends the walk, which returns both lists as they stand (members highest first).
+    Players are decided from the highest index down, each left out before it is
+    taken in. ``have[p]`` is member ``p``'s utility toward the members taken so
+    far; a branch is cut once a member's ``have`` plus its positive values toward
+    the undecided players falls below its floor. Leaving ``i`` out moves only the
+    bounds of the members who like ``i``; taking it in, those of ``i`` and of the
+    members who dislike it. Given ``block`` numbers, a branch is also cut once a
+    left-out ``j`` is sure to lose: ``out[j]``, its value toward the taken members
+    of its block, plus its negative values toward undecided block-mates, is above
+    0. Both bounds are exact at a leaf; the first one ``accept`` takes ends the walk.
     """
-    have = [0] * len(rows)
-    members: List[int] = []
+    pos, likers, haters, touched = tables
+    have, out, inside = [0] * len(rows), [0] * len(rows), [False] * len(rows)
+    members, left = [], [[] for _ in rows]  # left[b]: the left-out players of block b
+    # neg[j][k]: the sum of j's negative values toward its block-mates among players 0..k-1
+    neg = block and [list(accumulate((min(v, 0) if block[q] == b else 0 for q, v in enumerate(row)),
+                                     initial=0)) for row, b in zip(rows, block)]
 
-    def reachable(k):  # players 0..k-1 are undecided
-        return all(have[p] + pos[p][k] >= floor[p] for p in members)
-
-    def walk(k):
-        if k == 0:
+    def walk(i):  # decide player i; players 0..i-1 stay undecided
+        if i < 0:
             return bool(members) and accept(members, have)
-        i = k - 1
-        if reachable(i) and walk(i):
-            return True
         row = rows[i]
+        mates = () if block is None else left[block[i]]
+        if not likers[i] or all(have[p] + pos[p][i] >= floor[p] for p in likers[i] if inside[p]):
+            if block is not None:
+                out[i] = sum(row[p] for p in members if block[p] == block[i])
+                mates.append(i)
+            if (not mates or all(out[j] + neg[j][i] <= 0 for j in mates)) and walk(i - 1):
+                return True
+            if block is not None:
+                mates.pop()
+        for p in touched[i]:
+            if inside[p]:
+                have[p] += rows[p][i]
         own = 0
         for p in members:
-            have[p] += rows[p][i]
             own += row[p]
         have[i] = own
+        inside[i] = True
         members.append(i)
-        if reachable(i) and walk(i):
+        for j in mates:
+            out[j] += rows[j][i]
+        if (own + pos[i][i] >= floor[i]
+                and (not haters[i] or all(have[p] + pos[p][i] >= floor[p] for p in haters[i] if inside[p]))
+                and (not mates or all(out[j] + neg[j][i] <= 0 for j in mates)) and walk(i - 1)):
             return True
+        for j in mates:
+            out[j] -= rows[j][i]
         members.pop()
-        for p in members:
-            have[p] -= rows[p][i]
+        inside[i] = False
+        for p in touched[i]:
+            if inside[p]:
+                have[p] -= rows[p][i]
         return False
 
-    return (members, have) if walk(len(rows)) else None
+    return (members, have) if walk(len(rows) - 1) else None
 
 
 def _first_partition(rows, pos, floor, accept) -> Optional[Partition]:
@@ -192,21 +221,31 @@ def _first_partition(rows, pos, floor, accept) -> Optional[Partition]:
     return Partition(blocks) if walk(0) else None
 
 
-def _blocking(game, partition, strong: bool, harmless=None) -> Optional[BlockingWitness]:
+def _blocking(game, partition, strong: bool, csc: bool = False) -> Optional[BlockingWitness]:
     """First coalition, by ascending mask, that blocks ``partition``.
 
     All members do at least as well (strictly, if ``strong``), one strictly
-    better, and ``harmless(part, members)`` holds if given."""
+    better, and with ``csc`` no one left out of the coalition is harmed."""
     part = validate_partition(game, partition)
     if game.n > SUBSET_CAP:
         raise TooLarge(game.n, SUBSET_CAP)
     rows = game.rows
     cur = _current_utilities(game, part)
+    floor = [c + strong for c in cur]
+    accept = gains = lambda members, have: any(have[p] > cur[p] for p in members)
+    if csc:  # phase 1: is there any violation? The most-connected players are decided first
+        degree = [sum(map(bool, row)) + sum(map(bool, col)) for row, col in zip(rows, zip(*rows))]
+        order = sorted(range(game.n), key=lambda p: (degree[p], -p))  # the player at each new index
+        relabeled = [[rows[p][q] for q in order] for p in order]
+        block = [part.blocks.index(part.block_of(p)) for p in order]
+        if _first_coalition(relabeled, _tables(relabeled), [floor[p] for p in order],
+                            lambda m, have: any(have[p] > cur[order[p]] for p in m), block) is None:
+            return None
+        accept = lambda m, have: all(  # phase 2, in mask order: no one left out loses what S gave it
+            int_utility(game, j, t) <= 0 for b in part.blocks if (t := b & frozenset(m)) for j in b - t
+        ) and gains(m, have)
 
-    def accept(members, have):
-        return any(have[p] > cur[p] for p in members) and (harmless is None or harmless(part, members))
-
-    found = _first_coalition(rows, _positive_prefixes(rows), [c + strong for c in cur], accept)
+    found = _first_coalition(rows, _tables(rows), floor, accept)
     if found is None:
         return None
     members, have = found
@@ -231,11 +270,7 @@ def find_csc_violation(game: Game, partition) -> Optional[BlockingWitness]:
     ``C \\ S``; the coalition is a contractual-strict-core violation only if
     every remaining player does at least as well in its remainder.
     """
-    def harmless(part, members):  # no one left behind loses value it had from S
-        s = frozenset(members)
-        return all(int_utility(game, j, block & s) <= 0 for block in part.blocks for j in block - s)
-
-    return _blocking(game, partition, strong=False, harmless=harmless)
+    return _blocking(game, partition, strong=False, csc=True)
 
 
 def find_pareto_improvement(game: Game, partition) -> Optional[Partition]:
@@ -245,7 +280,7 @@ def find_pareto_improvement(game: Game, partition) -> Optional[Partition]:
         raise TooLarge(game.n, PARTITION_CAP)
     rows = game.rows
     base = _current_utilities(game, part)
-    return _first_partition(rows, _positive_prefixes(rows), base, lambda have: have != base)
+    return _first_partition(rows, _tables(rows)[0], base, lambda have: have != base)
 
 
 def verify(game: Game, partition, concept: StabilityConcept) -> StabilityVerdict:
@@ -254,21 +289,17 @@ def verify(game: Game, partition, concept: StabilityConcept) -> StabilityVerdict
     The finders validate ``partition``; only the IR witness needs the
     validated ``Partition`` here, to name the violator's block.
     """
-    witness: Optional[Witness]
-    if concept is StabilityConcept.NS:
-        witness = find_nash_deviation(game, partition)
-    elif concept is StabilityConcept.IS:
-        witness = find_is_deviation(game, partition)
-    elif concept is StabilityConcept.CIS:
-        witness = find_cis_deviation(game, partition)
-    elif concept is StabilityConcept.CORE:
-        witness = find_strongly_blocking(game, partition)
-    elif concept is StabilityConcept.STRICT_CORE:
-        witness = find_weakly_blocking(game, partition)
-    elif concept is StabilityConcept.CSC:
-        witness = find_csc_violation(game, partition)
-    elif concept is StabilityConcept.PARETO:
-        witness = find_pareto_improvement(game, partition)
+    finder = {
+        StabilityConcept.NS: find_nash_deviation,
+        StabilityConcept.IS: find_is_deviation,
+        StabilityConcept.CIS: find_cis_deviation,
+        StabilityConcept.CORE: find_strongly_blocking,
+        StabilityConcept.STRICT_CORE: find_weakly_blocking,
+        StabilityConcept.CSC: find_csc_violation,
+        StabilityConcept.PARETO: find_pareto_improvement,
+    }.get(concept)
+    if finder is not None:
+        witness = finder(game, partition)
     elif concept is StabilityConcept.IR:
         part = validate_partition(game, partition)
         ok, violator = is_individually_rational(game, part)
@@ -287,10 +318,10 @@ def core_exists(game: Game, strict: bool = False) -> Optional[Partition]:
     if game.n > PARTITION_CAP:
         raise TooLarge(game.n, PARTITION_CAP)
     rows = game.rows
-    pos = _positive_prefixes(rows)
+    tab = _tables(rows)
 
     def unblocked(cur):  # no blocker by ``_blocking``'s rule: strong for core, weak for strict core
         floor = [c + (not strict) for c in cur]
-        return _first_coalition(rows, pos, floor, lambda m, have: any(have[p] > cur[p] for p in m)) is None
+        return _first_coalition(rows, tab, floor, lambda m, have: any(have[p] > cur[p] for p in m)) is None
 
-    return _first_partition(rows, pos, [0] * game.n, unblocked)
+    return _first_partition(rows, tab[0], [0] * game.n, unblocked)

@@ -12,12 +12,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ashg
+from ashg.game import int_utility
+from ashg.stability import _first_coalition, _tables
 
 from conftest import (
     all_partitions,
     brute_all_blocking,
+    brute_solve_partition,
     brute_utility,
     random_game,
     random_partition,
@@ -113,6 +118,71 @@ def test_blocking_witnesses_are_smallest_mask():
             assert (w.kind, w.strictly_better) == ("weak", strictly_better(game, pi, first))
         else:
             assert w is None, (ashg.serialize_game(game), pi)
+
+
+def bounded_walk(game, pi, order):
+    """What the outsider-bounded coalition walk accepts on ``game`` relabeled so that
+    new player ``k`` is ``order[k]``: a coalition in the original numbers, or None."""
+    rows = [[game.rows[p][q] for q in order] for p in order]
+    cur = [int_utility(game, p, pi.block_of(p)) for p in order]
+    block = [pi.blocks.index(pi.block_of(p)) for p in order]
+    found = _first_coalition(rows, _tables(rows), cur, lambda m, have: any(have[p] > cur[p] for p in m), block)
+    return None if found is None else frozenset(order[p] for p in found[0])
+
+
+def assert_first_csc_violation(game, pi):
+    """``find_csc_violation`` returns the smallest-mask harmless weak blocker, or None.
+
+    Its feasibility walk alone, in any decision order, accepts only harmless
+    weak blockers and finds one whenever one exists."""
+    csc = [s for s in brute_all_blocking(game, pi, weak=True) if harmless(game, pi, s)]
+    shuffled = list(range(game.n))
+    random.Random(game.n).shuffle(shuffled)
+    for order in (list(range(game.n)), shuffled):
+        found = bounded_walk(game, pi, order)
+        assert (found is None) == (not csc) and (found is None or found in csc), (ashg.serialize_game(game), pi)
+    w = ashg.find_csc_violation(game, pi)
+    if not csc:
+        assert w is None, (ashg.serialize_game(game), pi)
+        return False
+    first = min(csc, key=mask)
+    assert (w.coalition, w.kind, w.strictly_better) == (first, "weak", strictly_better(game, pi, first)), (
+        ashg.serialize_game(game),
+        pi,
+    )
+    return True
+
+
+def split_weights(rng, k, want_split):
+    """``k`` weights in 1..9 with an equal split, or with none and an even total."""
+    while True:
+        weights = tuple(rng.randint(1, 9) for _ in range(k))
+        if sum(weights) % 2 == 0 and (brute_solve_partition(weights) is not None) == want_split:
+            return weights
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("want_split", [True, False])
+def test_csc_violation_on_partition_gadgets(k, want_split):
+    rng = random.Random(f"csc/{k}/{want_split}")
+    game = ashg.reduce_partition(ashg.PartitionInstance(split_weights(rng, k, want_split)))[0].game
+    # the grand coalition is CSC stable exactly when the weights have no equal split
+    assert assert_first_csc_violation(game, ashg.Partition.grand(game.n)) == want_split
+    for nblocks in (2, 3):
+        assignment = [rng.randrange(nblocks) for _ in range(game.n)]
+        pi = ashg.Partition([p for p in range(game.n) if assignment[p] == b] for b in set(assignment))
+        assert_first_csc_violation(game, pi)
+
+
+@given(data=st.data(), n=st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_csc_violation_is_first_harmless_weak_blocker(data, n):
+    values = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 5, -7])
+    rows = [[0 if i == j else data.draw(values) for j in range(n)] for i in range(n)]
+    game = ashg.Game.from_matrix([f"p{i}" for i in range(n)], rows)
+    assignment = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    pi = ashg.Partition([p for p in range(n) if assignment[p] == b] for b in set(assignment))
+    assert_first_csc_violation(game, pi)
 
 
 def test_pareto_improvement_is_first_in_rgs_order():

@@ -265,6 +265,32 @@ def test_serialize_parse_round_trip(data, n):
     assert ashg.serialize_game(parsed, default=default) == text
 
 
+def fraction_route(game, default):
+    """The serialized text with every value written as ``str(Fraction(scaled, scale))``."""
+    lines = ["players " + " ".join(game.labels)]
+    if default is not None:
+        lines.append(f"default {Fraction(default)}")
+    base = Fraction(0 if default is None else default)
+    for i, row in enumerate(game.rows):
+        for j, scaled in enumerate(row):
+            if i != j and Fraction(scaled, game.scale) != base:
+                lines.append(f"val {game.labels[i]} {game.labels[j]} {Fraction(scaled, game.scale)}")
+    return "\n".join(lines) + "\n"
+
+
+@given(data=st.data(), n=st.integers(1, 5), scale=st.integers(1, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_serialize_game_matches_fraction_route(data, n, scale):
+    # values scaled/scale for arbitrary signed ints, so the game's lcm scale varies with them
+    scaled = st.integers(-(10**12), 10**12) | st.integers(-3 * scale, 3 * scale)
+    rows = [[0 if i == j else Fraction(data.draw(scaled), scale) for j in range(n)] for i in range(n)]
+    game = ashg.Game.from_matrix([f"p{i}" for i in range(n)], rows)
+    default = data.draw(
+        st.none() | st.integers(-5, 5) | st.fractions(max_denominator=10**6) | st.sampled_from(sum(rows, []))
+    )
+    assert ashg.serialize_game(game, default=default) == fraction_route(game, default)
+
+
 class TestPartitionFormat:
     def test_parse(self, example6, example6_partition):
         pi = ashg.parse_partition("1 2\n3 4 5\n6\n", example6)
