@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface; each ``gen`` and ``oracle`` kind is its own sub-command.
 
 Exit codes: 0 = stable / found / ok, 2 = verified unstable or none exists
 (witness or ``none`` on stdout), 1 = usage or input error.
@@ -7,6 +7,7 @@ Exit codes: 0 = stable / found / ok, 2 = verified unstable or none exists
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -86,19 +87,20 @@ def _render_witness(game, witness) -> str:
     raise AssertionError(f"unrenderable witness: {witness!r}")
 
 
-def cmd_gen(args) -> int:
-    if args.kind == "example6":
-        game = example_six_player()
-        _write(serialize_game(game, default=-33), args.out)
-        return OK
-    if args.kind == "e3c":
-        inst = parse_e3c(_read(args.spec))
-        gadget = reduce_e3c(inst)
-        _write(serialize_game(gadget.game, default=-33), args.out)
-        return OK
-    # kind == "partition": game file plus the grand-coalition partition file
-    inst = _load_weights(args)
-    gadget, grand = reduce_partition(inst)
+def cmd_gen_example6(args) -> int:
+    _write(serialize_game(example_six_player(), default=-33), args.out)
+    return OK
+
+
+def cmd_gen_e3c(args) -> int:
+    gadget = reduce_e3c(parse_e3c(_read(args.spec)))
+    _write(serialize_game(gadget.game, default=-33), args.out)
+    return OK
+
+
+def cmd_gen_partition(args) -> int:
+    # game file plus the grand-coalition partition file
+    gadget, grand = reduce_partition(_load_weights(args))
     _write(serialize_game(gadget.game, default=0), args.out)
     partition_text = serialize_partition(gadget.game, grand)
     if args.partition_out is not None:
@@ -147,17 +149,17 @@ def cmd_search(args) -> int:
     return OK
 
 
-def cmd_oracle(args) -> int:
-    if args.kind == "e3c":
-        inst = parse_e3c(_read(args.spec))
-        cover = solve_e3c(inst)
-        if cover is None:
-            print("none")
-            return UNSTABLE
-        print("cover: " + " ".join(str(k) for k in cover))
-        return OK
-    inst = _load_weights(args)
-    split = solve_partition(inst)
+def cmd_oracle_e3c(args) -> int:
+    cover = solve_e3c(parse_e3c(_read(args.spec)))
+    if cover is None:
+        print("none")
+        return UNSTABLE
+    print("cover: " + " ".join(str(k) for k in cover))
+    return OK
+
+
+def cmd_oracle_partition(args) -> int:
+    split = solve_partition(_load_weights(args))
     if split is None:
         print("none")
         return UNSTABLE
@@ -165,6 +167,13 @@ def cmd_oracle(args) -> int:
     return OK
 
 
+def _add_weights(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--weights", "-w", help="comma-separated weights")
+    group.add_argument("--weights-file", help="one-integer-per-line weights file")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ashg",
@@ -172,14 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a gadget game file")
-    p.add_argument("kind", choices=["example6", "e3c", "partition"])
-    p.add_argument("--spec", help="exact-cover spec file (kind=e3c)")
-    p.add_argument("--weights", "-w", help="comma-separated weights (kind=partition)")
-    p.add_argument("--weights-file", help="one-integer-per-line weights file")
-    p.add_argument("--out", "-o", help="game file path (default stdout)")
-    p.add_argument("--partition-out", help="partition file path (kind=partition)")
-    p.set_defaults(func=cmd_gen)
+    gen = sub.add_parser("gen", help="generate a gadget game file")
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    kinds.add_parser("example6", help="the six-player empty-core game").set_defaults(func=cmd_gen_example6)
+    p = kinds.add_parser("e3c", help="Exact-3-Cover gadget")
+    p.add_argument("--spec", required=True, help="exact-cover spec file")
+    p.set_defaults(func=cmd_gen_e3c)
+    p = kinds.add_parser("partition", help="PARTITION gadget and its grand-coalition partition")
+    _add_weights(p)
+    p.add_argument("--partition-out", help="partition file path (default OUT.partition or stdout)")
+    p.set_defaults(func=cmd_gen_partition)
+    for p in kinds.choices.values():
+        p.add_argument("--out", "-o", help="game file path (default stdout)")
 
     p = sub.add_parser("solve-cis", help="compute a contractually individually stable partition")
     p.add_argument("game")
@@ -200,31 +213,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concept", required=True, choices=["core", "strict-core"])
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("oracle", help="brute-force solve a source problem instance")
-    p.add_argument("kind", choices=["e3c", "partition"])
-    p.add_argument("--spec", help="exact-cover spec file (kind=e3c)")
-    p.add_argument("--weights", "-w", help="comma-separated weights (kind=partition)")
-    p.add_argument("--weights-file", help="one-integer-per-line weights file")
-    p.set_defaults(func=cmd_oracle)
+    oracle = sub.add_parser("oracle", help="brute-force solve a source problem instance")
+    kinds = oracle.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("e3c", help="first exact cover, by triple index")
+    p.add_argument("--spec", required=True, help="exact-cover spec file")
+    p.set_defaults(func=cmd_oracle_e3c)
+    p = kinds.add_parser("partition", help="first equal split, by weight index")
+    _add_weights(p)
+    p.set_defaults(func=cmd_oracle_partition)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
         # argparse exits with status 2 on usage errors; remap to the
         # error code so 2 stays reserved for "verified unstable / none"
-        args = parser.parse_args(argv)
-        if args.command == "gen" and args.kind == "e3c" and not args.spec:
-            parser.error("gen e3c requires --spec")
-        if args.command == "oracle" and args.kind == "e3c" and not args.spec:
-            parser.error("oracle e3c requires --spec")
-        needs_weights = (args.command == "gen" and args.kind == "partition") or (
-            args.command == "oracle" and args.kind == "partition"
-        )
-        if needs_weights and args.weights is None and args.weights_file is None:
-            parser.error(f"{args.command} partition requires --weights or --weights-file")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return OK if exc.code == 0 else ERROR
     try:

@@ -3,8 +3,9 @@
 Three constructions:
 
 * a six-player symmetric game with an empty core (the hexagon game),
-* a symmetric game built from an exact-cover-by-3-sets instance, whose
-  strict core is nonempty exactly when the instance has an exact cover,
+* a symmetric game built from an exact-cover-by-3-sets instance with
+  distinct triples, whose strict core is nonempty exactly when the instance
+  has an exact cover,
 * an asymmetric game built from a weight-splitting instance, whose grand
   coalition is contractual-strict-core stable (and Pareto optimal) exactly
   when the weights cannot be split into two equal halves.
@@ -45,7 +46,9 @@ _HEXAGON_EDGES = (
 class E3CInstance:
     """Exact-cover-by-3-sets source instance: universe R and 3-element triples.
 
-    Each element occurs in at most 3 triples, as in the paper's reduction.
+    The triples are distinct, and each element occurs in at most 3 of them,
+    as in the paper's reduction. A repeated triple would break it: a second
+    hub on a covered triple weakly blocks the witness partition.
     """
 
     universe: Tuple[str, ...]
@@ -58,9 +61,13 @@ class E3CInstance:
             raise InvalidInstance("duplicate universe element")
         known = set(self.universe)
         counts = {r: 0 for r in self.universe}
+        seen = set()
         for s in self.triples:
             if len(s) != 3 or not s <= known:
                 raise InvalidInstance(f"each triple needs 3 distinct universe elements: {sorted(s)}")
+            if s in seen:
+                raise InvalidInstance(f"repeated triple: {sorted(s)}")
+            seen.add(s)
             for r in s:
                 counts[r] += 1
         if any(c > 3 for c in counts.values()):

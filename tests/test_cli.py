@@ -239,6 +239,14 @@ class TestOracle:
         assert "bad weight list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "oracle"])
+def test_repeated_e3c_triple_is_an_input_error(capsys, tmp_path, command):
+    spec = tmp_path / "repeat.e3c"
+    spec.write_text("universe 1 2 3\nset 1 2 3\nset 3 2 1\n")
+    assert main([command, "e3c", "--spec", str(spec)]) == 1
+    assert capsys.readouterr() == ("", "error: repeated triple: ['1', '2', '3']\n")
+
+
 class TestNonUtf8Input:
     """A file that is not UTF-8 is an input error naming the file, not a traceback."""
 
@@ -276,6 +284,55 @@ class TestUsageErrors:
     def test_missing_weights(self, capsys):
         assert main(["oracle", "partition"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "e3c"], "the following arguments are required: --spec"),
+            (["oracle", "e3c"], "the following arguments are required: --spec"),
+            (["gen", "partition"], "one of the arguments --weights/-w --weights-file is required"),
+        ],
+        ids=["gen-e3c", "oracle-e3c", "gen-partition"],
+    )
+    def test_missing_required_option(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "cover.e3c").write_text("universe 1 2 3\nset 1 2 3\n")
+        (tmp_path / "weights.txt").write_text("1\n1\n2\n")
+        return {"spec": tmp_path / "cover.e3c", "wf": tmp_path / "weights.txt", "po": tmp_path / "p"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "gen example6 --spec {spec}",
+            "gen example6 -w 1,1,2",
+            "gen example6 --weights-file {wf}",
+            "gen example6 --partition-out {po}",
+            "gen e3c --spec {spec} -w 1,1,2",
+            "gen e3c --spec {spec} --weights-file {wf}",
+            "gen e3c --spec {spec} --partition-out {po}",
+            "gen partition -w 1,1,2 --spec {spec}",
+            "oracle e3c --spec {spec} -w 1,1,2",
+            "oracle e3c --spec {spec} --weights-file {wf}",
+            "oracle partition -w 1,1,2 --spec {spec}",
+        ],
+    )
+    def test_flags_the_kind_does_not_read_are_rejected(self, capsys, files, argv):
+        # the last flag is one that only another kind reads
+        argv = [a.format(**files) for a in argv.split()]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ashg ") and f"error: unrecognized arguments: {argv[-2]} " in err
+
+    @pytest.mark.parametrize("command", ["gen", "oracle"])
+    def test_weight_sources_are_alternatives(self, capsys, files, command):
+        assert main([command, "partition", "-w", "1,1,2", "--weights-file", str(files["wf"])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ashg ")
+        assert "error: argument --weights-file: not allowed with argument --weights/-w\n" in err
+
     def test_bad_threads(self, capsys):
         assert main(["--threads", "0", "gen", "example6"]) == 1
 
@@ -307,6 +364,26 @@ def test_console_script_entry_point(tmp_path):
     )
     assert result.returncode == 2
     assert result.stdout.strip() == "none"
+
+
+def test_reused_parser_gives_the_same_bytes(capsys, tmp_path):
+    """The parser is built once per process; no call may change what the next one does."""
+    spec = tmp_path / "cover.e3c"
+    spec.write_text("universe 1 2 3\nset 1 2 3\n")
+    game = tmp_path / "g"
+    assert main(["gen", "partition", "-w", "2,3,7", "-o", str(game)]) == 0
+    calls = [
+        ["gen", "partition", "-w", "1,1,2"],
+        ["oracle", "e3c", "--spec", str(spec)],
+        ["verify", str(game), str(game) + ".partition", "--concept", "csc"],
+        ["oracle", "partition", "-w", "1", "--weights-file", str(spec)],
+    ]
+    seen = []
+    for argv in calls + calls:
+        code = main(argv)
+        seen.append((code, *capsys.readouterr()))
+    assert [code for code, _out, _err in seen[:4]] == [0, 0, 0, 1]
+    assert seen[4:] == seen[:4]
 
 
 def test_pipeline_csc_verdict_matches_oracle(capsys, tmp_path):

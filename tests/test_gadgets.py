@@ -49,6 +49,11 @@ class TestE3CInstance:
         with pytest.raises(InvalidInstance):
             e3c("123456", triples)
 
+    def test_repeated_triple_rejected(self):
+        # a second hub on a covered triple would weakly block the witness
+        with pytest.raises(InvalidInstance, match=r"repeated triple: \['1', '2', '3'\]"):
+            e3c("123", [("1", "2", "3"), ("3", "2", "1")])
+
 
 class TestReduceE3C:
     def test_player_count(self):
@@ -80,12 +85,12 @@ class TestWitnessPartitionE3C:
             assert ashg.partition_utility(g, pi, g.index(f"x{j}_2")) == expected
 
     def test_uncovered_hub_is_singleton(self):
-        inst = e3c("123", [("1", "2", "3"), ("1", "2", "3")])
+        inst = e3c("123456", [("1", "2", "3"), ("1", "4", "5"), ("4", "5", "6")])
         gadget = ashg.reduce_e3c(inst)
-        pi = ashg.witness_partition_e3c(gadget, [1])
+        pi = ashg.witness_partition_e3c(gadget, [0, 2])
         g = gadget.game
-        assert pi.block_of(g.index("y_0")) == frozenset({g.index("y_0")})
-        assert ashg.partition_utility(g, pi, g.index("y_0")) == 0
+        assert pi.block_of(g.index("y_1")) == frozenset({g.index("y_1")})
+        assert ashg.partition_utility(g, pi, g.index("y_1")) == 0
 
     def test_not_a_cover(self):
         gadget = ashg.reduce_e3c(e3c("123456", [("1", "2", "3"), ("1", "4", "5")]))
@@ -231,17 +236,21 @@ class TestParseE3C:
         with pytest.raises(ashg.GameFormatError):
             ashg.parse_e3c("universe 1 2\n")
 
+    def test_repeated_triple(self):
+        with pytest.raises(ashg.GameFormatError, match="repeated triple"):
+            ashg.parse_e3c("universe 1 2 3\nset 1 2 3\nset 3 2 1\n")
+
 
 @st.composite
 def e3c_specs(draw):
-    """A universe, triples that keep the occurrence bound, and their spec lines."""
+    """A universe, distinct triples that keep the occurrence bound, and their spec lines."""
     m = draw(st.integers(1, 4))
     universe = draw(st.lists(TOKENS, min_size=3 * m, max_size=3 * m, unique=True))
     picks = draw(st.lists(st.lists(st.sampled_from(universe), min_size=3, max_size=3, unique=True), max_size=8))
     counts = dict.fromkeys(universe, 0)
     triples = []
     for t in picks:
-        if all(counts[r] < 3 for r in t):
+        if frozenset(t) not in map(frozenset, triples) and all(counts[r] < 3 for r in t):
             triples.append(t)
             for r in t:
                 counts[r] += 1
@@ -266,15 +275,19 @@ def test_parse_e3c_reproduces_spec(spec, data):
 @given(spec=e3c_specs(), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_parse_e3c_rejects_bad_lines(spec, data):
-    universe, _triples, lines = spec
-    if data.draw(st.booleans()):
+    universe, triples, lines = spec
+    bad_line = data.draw(st.sampled_from(["directive", "set", "repeat"] if triples else ["directive", "set"]))
+    if bad_line == "directive":
         word = data.draw(TOKENS.filter(lambda t: t not in ("set", "universe")))
         args = data.draw(st.lists(st.sampled_from(universe), max_size=4))
-    else:
+    elif bad_line == "set":
         word = "set"
         args = data.draw(
             st.lists(st.sampled_from(universe), max_size=5).filter(lambda a: len(a) != 3 or len(set(a)) < 3)
         )
+    else:  # repeat an earlier triple, in any order
+        word = "set"
+        args = data.draw(st.permutations(data.draw(st.sampled_from(triples))))
     at = data.draw(st.integers(0, len(lines)))
     bad = lines[:at] + [" ".join([word] + args)] + lines[at:]
     with pytest.raises(ashg.GameFormatError):
@@ -289,6 +302,17 @@ class TestReductionProperties:
         gadget = ashg.reduce_e3c(inst)
         pi = ashg.witness_partition_e3c(gadget, cover)
         assert ashg.find_weakly_blocking(gadget.game, pi) is None
+
+    @pytest.mark.parametrize(
+        "triples, has_cover", [([], False), ([("a", "b", "c")], True)], ids=["no-cover-18", "cover-19"]
+    )
+    def test_strict_core_nonempty_exactly_on_covers(self, monkeypatch, triples, has_cover):
+        # both directions of the reduction, by exhaustive partition search
+        monkeypatch.setattr(ashg.stability, "PARTITION_CAP", 19)
+        inst = e3c("abc", triples)
+        assert (ashg.solve_e3c(inst) is not None) is has_cover
+        found = ashg.core_exists(ashg.reduce_e3c(inst).game, strict=True)
+        assert (found is not None) is has_cover
 
     def test_split_equivalence_small(self):
         for weights in itertools.product(range(1, 5), repeat=3):
