@@ -15,10 +15,11 @@ stable, but some orders give a partition that is not: the ``bug6`` game of
 dense games. ``ashg solve-cis`` refuses such output with exit 1; item 1 of
 ROADMAP.md tracks the fix.
 
-Cost: one pass over a player's row when it is picked and one when it joins,
-visiting only nonzero entries, plus heap work on the liked entries: O(n^2)
-row reading at C speed and O(m log m) steps for m nonzero values. No step
-rescans the pool or a coalition.
+Cost: one walk over a player's nonzero columns (``Game.support``) when it
+is picked and one when it joins, plus heap work on the liked entries: O(m)
+row steps and O(m log m) heap steps for m nonzero values. The supports cost
+one C-speed pass over the rows when the game is built. No step reads a whole
+row or rescans the pool or a coalition.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import compress
 from typing import List, Optional, Tuple, Union
 
 from .errors import EmptyGame, InconsistentTrace
@@ -70,7 +70,7 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
     n = game.n
     if n == 0:
         raise EmptyGame()
-    rows = game.rows
+    rows, support = game.rows, game.support
     priority = list(range(n))
     if seed is not None:
         random.Random(seed).shuffle(priority)
@@ -84,7 +84,7 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
             continue
         row = rows[a]
         pool_friends, worth = [], {}  # worth[k]: a's total value for coalition k
-        for b in compress(range(n), row):
+        for b in support[a]:
             if home[b] >= 0:
                 worth[home[b]] = worth.get(home[b], 0) + row[b]
             elif row[b] > 0:
@@ -120,7 +120,7 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
                 home[p] = z
             for p in newcomers:
                 r = rows[p]
-                for b in compress(range(n), r):
+                for b in support[p]:
                     if r[b] < 0:
                         veto.add(b)
                     elif home[b] < 0 and b not in veto:

@@ -40,16 +40,22 @@ OK, ERROR, UNSTABLE = 0, 1, 2
 _WEIGHT_RE = re.compile(r"[+-]?[0-9]+")
 
 
+def _path(path: str) -> Path:
+    if not path:  # Path("") is the current directory
+        raise AshgError("empty file path")
+    return Path(path)
+
+
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        _path(out).write_text(text, encoding="utf-8")
 
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return _path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise GameFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 

@@ -61,7 +61,11 @@ class InconsistentTrace(AshgError):
 
 
 class InvalidInstance(AshgError):
-    """A source-problem instance violates its invariants."""
+    """A source-problem instance violates its invariants; ``triple`` indexes the offending triple."""
+
+    def __init__(self, message, triple=None):
+        super().__init__(message)
+        self.triple = triple
 
 
 class NotACover(AshgError):

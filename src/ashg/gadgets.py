@@ -62,17 +62,16 @@ class E3CInstance:
         known = set(self.universe)
         counts = {r: 0 for r in self.universe}
         seen = set()
-        for s in self.triples:
+        for k, s in enumerate(self.triples):  # each error names the first triple that breaks a rule
             if len(s) != 3 or not s <= known:
-                raise InvalidInstance(f"each triple needs 3 distinct universe elements: {sorted(s)}")
+                raise InvalidInstance(f"each triple needs 3 distinct universe elements: {sorted(s)}", k)
             if s in seen:
-                raise InvalidInstance(f"repeated triple: {sorted(s)}")
+                raise InvalidInstance(f"repeated triple: {sorted(s)}", k)
             seen.add(s)
-            for r in s:
+            for r in sorted(s):
                 counts[r] += 1
-        if any(c > 3 for c in counts.values()):
-            worst = max(counts, key=counts.get)
-            raise InvalidInstance(f"element {worst!r} occurs in more than 3 triples")
+                if counts[r] > 3:
+                    raise InvalidInstance(f"element {r!r} occurs in more than 3 triples", k)
 
 
 @dataclass(frozen=True)
@@ -258,7 +257,7 @@ def solve_partition(inst: PartitionInstance) -> Optional[Tuple[int, ...]]:
 def parse_e3c(text: str) -> E3CInstance:
     """E3C spec file: a ``universe`` line, then ``set a b c`` lines."""
     universe = None
-    triples = []
+    triples, linenos = [], []
     for lineno, tokens in _content_lines(text):
         kind, args = tokens[0], tokens[1:]
         if universe is None:
@@ -271,9 +270,11 @@ def parse_e3c(text: str) -> E3CInstance:
         if len(args) != 3:
             raise GameFormatError(f"line {lineno}: set takes exactly 3 elements")
         triples.append(frozenset(args))
+        linenos.append(lineno)
     if universe is None:
         raise GameFormatError("empty exact-cover spec file")
     try:
         return E3CInstance(universe, tuple(triples))
     except InvalidInstance as exc:
-        raise GameFormatError(str(exc)) from exc
+        where = "" if exc.triple is None else f"line {linenos[exc.triple]}: "
+        raise GameFormatError(where + str(exc)) from exc

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -44,8 +45,9 @@ def _as_rational(value) -> Rational:
     return Fraction(value)
 
 
-def _scaled(cells: list, default: Rational) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-    """Integer rows over one lcm scale from per-row dicts ``{column: int or Fraction}``."""
+def _scaled(cells: list, default: Rational):
+    """``(rows, scale, support)`` from per-row dicts ``{column: int or Fraction}``: integer
+    rows over one lcm scale, and each row's nonzero columns (see ``Game``)."""
     n = len(cells)  # the default counts only if some off-diagonal pair takes it
     uses_default = any(len(row) - (i in row) < n - 1 for i, row in enumerate(cells))
     denominators = {v.denominator for row in cells for v in row.values() if type(v) is Fraction}
@@ -56,14 +58,16 @@ def _scaled(cells: list, default: Rational) -> Tuple[Tuple[Tuple[int, ...], ...]
         for j, v in row.items():
             rows[i][j] = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
         rows[i][i] = 0
-    return tuple(map(tuple, rows)), scale
+    columns = list(range(n))  # every support entry refers to one of these ints
+    # lists, not tuples: short-lived games with many short tuples raised peak RSS
+    return tuple(map(tuple, rows)), scale, [list(compress(columns, row)) for row in rows]
 
 
 def _from_cells(labels: Tuple[str, ...], cells: list, default: Rational) -> "Game":
     """The trusted constructor: labels valid and distinct, no nonzero self-value in ``cells``."""
     game = Game.__new__(Game)
     game.labels, game._index = labels, {lab: i for i, lab in enumerate(labels)}
-    game.rows, game.scale = _scaled(cells, default)
+    game.rows, game.scale, game.support = _scaled(cells, default)
     return game
 
 
@@ -76,9 +80,14 @@ class Game:
     scale is positive, sums and comparisons of row entries agree exactly with
     the rational values. ``value`` and the utility functions return
     ``Fraction``s.
+
+    ``support[i]`` is the ascending list of the players ``j != i`` with
+    ``rows[i][j] != 0``, to be read, not changed. It is derived from ``rows``
+    when the game is built and takes no part in equality or hashing; values
+    are read from ``rows`` only.
     """
 
-    __slots__ = ("labels", "_index", "rows", "scale")
+    __slots__ = ("labels", "_index", "rows", "scale", "support")
 
     def __init__(self, labels: Sequence[str], values: Mapping[Tuple[str, str], Rational] = (),
                  default: Rational = 0):
@@ -113,7 +122,7 @@ class Game:
             if i == j and v != 0:
                 raise GameFormatError(f"nonzero self-value for player {labels[i]!r}")
             cells[i][j] = v
-        self.rows, self.scale = _scaled(cells, default)
+        self.rows, self.scale, self.support = _scaled(cells, default)
 
     @property
     def n(self) -> int:

@@ -20,6 +20,7 @@ import ashg
 from ashg.cis import CisTrace, HelpersAdded, LatecomerJoined, LeaderChosen, NeededAdded
 from ashg.errors import EmptyGame, GameFormatError
 from ashg.game import int_utility
+from ashg.stability import DeviationMove
 
 
 @pytest.fixture
@@ -153,6 +154,32 @@ def brute_has_deviation(game: ashg.Game, partition: ashg.Partition, concept: str
                 continue
             return True
     return False
+
+
+def reference_deviation(game: ashg.Game, partition, admission: bool, release: bool):
+    """The dense deviation scan that ``_find_deviation`` must match exactly.
+
+    Every player's current utility and its utility for every block are summed
+    over the dense rows, and every admission and release check reads the
+    column of the mover over the whole block.
+    """
+    part = ashg.validate_partition(game, partition)
+    rows = game.rows
+    cur = [int_utility(game, p, part.block_of(p)) for p in range(game.n)]
+    for p in range(game.n):
+        src = part.block_of(p)
+        if release and any(rows[j][p] > 0 for j in src if j != p):
+            continue
+        for tgt in part.blocks:
+            if p in tgt:
+                continue
+            if int_utility(game, p, tgt) > cur[p]:
+                if admission and any(rows[j][p] < 0 for j in tgt):
+                    continue
+                return DeviationMove(p, src, tgt)
+        if cur[p] < 0:  # forming a new singleton; always admitted
+            return DeviationMove(p, src, frozenset())
+    return None
 
 
 def reference_cis(game: ashg.Game, seed=None):

@@ -245,10 +245,15 @@ def test_matches_reference_on_criterion_3_corpus():
             assert_matches_reference(game, seed)
 
 
-@pytest.mark.parametrize("n", [50, 150, 400])
-def test_matches_reference_on_sparse_games(n):
+@pytest.mark.parametrize("n, default", [(50, 0), (150, 0), (400, 0), (150, -1)],
+                         ids=["50", "150", "400", "150-default-1"])
+def test_matches_reference_on_sparse_games(n, default):
     rng = random.Random(n)
     game = sparse_game(rng, n, degree=8)
+    if default:  # the listed values stay; every other pair takes the default
+        values = {(game.labels[i], game.labels[j]): v for i, row in enumerate(game.rows)
+                  for j, v in enumerate(row) if v}
+        game = ashg.Game(game.labels, values, default=default)
     for seed in [None] + [rng.randint(0, 2**32) for _ in range(3)]:
         assert_matches_reference(game, seed)
 

@@ -244,7 +244,24 @@ def test_repeated_e3c_triple_is_an_input_error(capsys, tmp_path, command):
     spec = tmp_path / "repeat.e3c"
     spec.write_text("universe 1 2 3\nset 1 2 3\nset 3 2 1\n")
     assert main([command, "e3c", "--spec", str(spec)]) == 1
-    assert capsys.readouterr() == ("", "error: repeated triple: ['1', '2', '3']\n")
+    assert capsys.readouterr() == ("", "error: line 3: repeated triple: ['1', '2', '3']\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-cis", ""],
+        ["verify", "", "", "--concept", "ns"],
+        ["gen", "e3c", "--spec", ""],
+        ["gen", "example6", "-o", ""],
+        ["oracle", "partition", "--weights-file", ""],
+    ],
+    ids=["solve-cis", "verify", "gen-e3c", "gen-out", "oracle-weights"],
+)
+def test_empty_path_is_an_input_error(capsys, argv):
+    # an empty path is not taken as the current directory
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: empty file path\n")
 
 
 class TestNonUtf8Input:

@@ -240,6 +240,23 @@ class TestParseE3C:
         with pytest.raises(ashg.GameFormatError, match="repeated triple"):
             ashg.parse_e3c("universe 1 2 3\nset 1 2 3\nset 3 2 1\n")
 
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (["set 1 2 9"], "line 3: each triple needs 3 distinct universe elements: ['1', '2', '9']"),
+            (["set 1 2 3", "set 4 4 5"], "line 4: each triple needs 3 distinct universe elements: ['4', '5']"),
+            (["set 1 2 3", "", "set 3 2 1"], "line 5: repeated triple: ['1', '2', '3']"),
+            (["set 1 2 3", "set 1 2 4", "set 1 3 4", "# fourth 1", "set 6 5 1", "set 1 2 9"],
+             "line 7: element '1' occurs in more than 3 triples"),
+        ],
+        ids=["unknown-element", "repeated-element", "repeated-triple", "occurrence-bound"],
+    )
+    def test_instance_errors_name_the_set_line(self, sets, message):
+        text = "# spec\nuniverse 1 2 3 4 5 6\n" + "\n".join(sets) + "\n"
+        with pytest.raises(ashg.GameFormatError) as exc:
+            ashg.parse_e3c(text)
+        assert str(exc.value) == message
+
 
 @st.composite
 def e3c_specs(draw):
@@ -290,7 +307,7 @@ def test_parse_e3c_rejects_bad_lines(spec, data):
         args = data.draw(st.permutations(data.draw(st.sampled_from(triples))))
     at = data.draw(st.integers(0, len(lines)))
     bad = lines[:at] + [" ".join([word] + args)] + lines[at:]
-    with pytest.raises(ashg.GameFormatError):
+    with pytest.raises(ashg.GameFormatError, match=r"^line [0-9]+: "):
         ashg.parse_e3c("\n".join(bad) + "\n")
 
 

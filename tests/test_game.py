@@ -271,3 +271,22 @@ def test_utility_matches_direct_sum(data, n):
     )
     player = data.draw(st.sampled_from(sorted(members)))
     assert ashg.utility(g, members, player) == brute_utility(g, members, player)
+
+
+@given(data=st.data(), n=st.integers(1, 6), default=st.sampled_from([None, 0, -1, Fraction(1, 3)]))
+@settings(max_examples=150, deadline=None)
+def test_support_lists_the_nonzero_off_diagonal_columns(data, n, default):
+    labels = [f"p{i}" for i in range(n)]
+    # None: no val line; 0: an explicit "val a b 0", on the diagonal too
+    cells = data.draw(st.lists(st.none() | st.sampled_from([0, 0, 2, -1, Fraction(-5, 2)]),
+                               min_size=n * n, max_size=n * n))
+    values = {(labels[k // n], labels[k % n]): v for k, v in enumerate(cells)
+              if v is not None and (k // n != k % n or v == 0)}
+    text = "players " + " ".join(labels) + "\n" + ("" if default is None else f"default {default}\n")
+    text += "".join(f"val {a} {b} {v}\n" for (a, b), v in values.items())
+    parsed = ashg.parse_game(text)
+    built = ashg.Game(labels, values, default=0 if default is None else default)
+    matrix = ashg.Game.from_matrix(labels, [[parsed.value(i, j) for j in range(n)] for i in range(n)])
+    for game in (parsed, built, matrix):
+        assert game.support == [[j for j in range(n) if j != i and game.rows[i][j] != 0] for i in range(n)]
+    assert parsed == built == matrix

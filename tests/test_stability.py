@@ -19,6 +19,8 @@ from conftest import (
     random_game,
     random_partition,
     random_rational_rows,
+    reference_deviation,
+    sparse_game,
 )
 
 
@@ -333,3 +335,71 @@ def test_outputs_invariant_under_positive_scaling(data, n):
         assert ashg.core_exists(scaled, strict=strict) == ashg.core_exists(g, strict=strict)
     for seed in (None, rng.randint(0, 999)):
         assert ashg.compute_cis(scaled, seed) == ashg.compute_cis(g, seed)
+
+
+# --- differential tests against the dense deviation scan --------------------
+
+DEVIATION_FINDERS = [  # (finder, admission, release)
+    (ashg.find_nash_deviation, False, False),
+    (ashg.find_is_deviation, True, False),
+    (ashg.find_cis_deviation, True, True),
+]
+
+
+def assert_deviations_match_reference(game, partition):
+    for finder, admission, release in DEVIATION_FINDERS:
+        expected = reference_deviation(game, partition, admission, release)
+        assert finder(game, partition) == expected, (finder.__name__, ashg.serialize_game(game), partition)
+
+
+def moved_one(rng, partition):
+    """``partition`` with one random player moved to another block or to a new one."""
+    blocks = [set(b) for b in partition.blocks]
+    p = rng.choice([p for b in blocks for p in b])
+    for b in blocks:
+        b.discard(p)
+    target = rng.randrange(len(blocks) + 1)
+    blocks.append(set())
+    blocks[target].add(p)
+    return ashg.Partition(b for b in blocks if b)
+
+
+@pytest.mark.parametrize("n", [30, 120, 300])
+def test_deviations_match_reference_on_sparse_games(n):
+    rng = random.Random(n)
+    for degree in (2, 8):
+        game = sparse_game(rng, n, degree=degree)
+        partitions = [random_partition(rng, n), ashg.Partition.singletons(n), ashg.Partition.grand(n)]
+        for seed in [None] + [rng.randint(0, 2**32) for _ in range(3)]:
+            cis, _ = ashg.compute_cis(game, seed=seed)
+            partitions += [cis, moved_one(rng, cis), moved_one(rng, cis)]
+        for partition in partitions:
+            assert_deviations_match_reference(game, partition)
+
+
+@pytest.mark.parametrize("default", [-1, Fraction(1, 2), 3], ids=["-1", "1/2", "3"])
+def test_deviations_match_reference_on_dense_games_with_a_default(default):
+    rng = random.Random(str(default))
+    for n in (2, 5, 12, 40):
+        labels = [f"p{i}" for i in range(n)]
+        # a third of the pairs are listed, some of them at 0; the rest take the default
+        values = {(a, b): rng.randint(-3, 3) for a in labels for b in labels if a != b and rng.random() < 0.3}
+        game = ashg.Game(labels, values, default=default)
+        partitions = [random_partition(rng, n), ashg.Partition.singletons(n), ashg.Partition.grand(n)]
+        for seed in (None, rng.randint(0, 999)):
+            cis, _ = ashg.compute_cis(game, seed=seed)
+            partitions += [cis, moved_one(rng, cis)]
+        for partition in partitions:
+            assert_deviations_match_reference(game, partition)
+
+
+@given(data=st.data(), n=st.integers(1, 7), default=st.sampled_from([0, -1, 1]))
+@settings(max_examples=300, deadline=None)
+def test_deviations_match_reference_property(data, n, default):
+    # values in -2..2 make ties, zero-worth blocks and negative current utilities common
+    labels = [f"p{i}" for i in range(n)]
+    cells = data.draw(st.lists(st.none() | st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    values = {(a, b): v for (a, b), v in zip(((a, b) for a in labels for b in labels), cells)
+              if v is not None and a != b}
+    game = ashg.Game(labels, values, default=default)
+    assert_deviations_match_reference(game, random_partition(random.Random(data.draw(st.integers(0, 2**32))), n))
