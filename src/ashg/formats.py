@@ -35,14 +35,16 @@ def parse_rational(token: str) -> Rational:
 
 
 def _content_lines(text: str):
+    commented = "#" in text
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = (line.split("#", 1)[0] if "#" in line else line).split()
+        tokens = (line.split("#", 1)[0] if commented and "#" in line else line).split()
         if tokens:
             yield lineno, tokens
 
 
 def parse_game(text: str) -> Game:
-    """Each value is held once, as an int or ``Fraction(int, int)``, then scaled into integer rows."""
+    """Checks and converts each distinct value token once, to an int or ``Fraction(int, int)``
+    that every cell spelled with it shares, then scales the cells into integer rows."""
     lines = _content_lines(text)
     lineno, tokens = next(lines, (0, None))
     if tokens is None:
@@ -56,6 +58,7 @@ def parse_game(text: str) -> Game:
     if len(index) != len(labels):
         raise GameFormatError(f"line {lineno}: duplicate player label")
     cells = [{} for _ in labels]  # per row: column -> value as given
+    parsed = {}  # value token -> its value, for this call only; a bad token raises, never enters
     default = self_valued = None  # self_valued: the first label with a nonzero self-value
     for lineno, tokens in lines:
         if tokens[0] == "val":
@@ -67,7 +70,10 @@ def parse_game(text: str) -> Game:
                 raise GameFormatError(f"line {lineno}: undeclared player in val line")
             if j in cells[i]:
                 raise GameFormatError(f"line {lineno}: duplicate val for pair {a} {b}")
-            cells[i][j] = value = parse_rational(tok)
+            value = parsed.get(tok)
+            if value is None:
+                value = parsed[tok] = parse_rational(tok)
+            cells[i][j] = value
             if i == j and value != 0 and self_valued is None:
                 self_valued = a
         elif tokens[0] == "default":

@@ -196,7 +196,10 @@ def _first_coalition(rows, tables, floor, accept, block=None):
                 have[p] -= rows[p][i]
         return False
 
-    return (members, have) if walk(len(rows) - 1) else None
+    try:
+        return (members, have) if walk(len(rows) - 1) else None
+    finally:
+        walk = None  # walk refers to itself: break the cycle, so its tables are freed at once
 
 
 def _first_partition(rows, pos, floor, accept) -> Optional[Partition]:
@@ -237,7 +240,10 @@ def _first_partition(rows, pos, floor, accept) -> Optional[Partition]:
         blocks.pop()
         return False
 
-    return Partition(blocks) if walk(0) else None
+    try:
+        return Partition(blocks) if walk(0) else None
+    finally:
+        walk = None  # as in _first_coalition
 
 
 def _blocking(game, partition, strong: bool, csc: bool = False) -> Optional[BlockingWitness]:

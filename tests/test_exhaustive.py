@@ -8,6 +8,7 @@ contract.
 """
 
 import functools
+import gc
 import itertools
 import random
 
@@ -221,3 +222,28 @@ def test_core_exists_is_first_stable_partition_in_rgs_order():
                     expected = pi
                     break
             assert ashg.core_exists(game, strict=strict) == expected, (ashg.serialize_game(game), strict)
+
+
+def test_walks_leave_no_cyclic_garbage():
+    """Each walk is a closure that calls itself; the searches drop that cycle when
+    they return or raise, so a walk's tables are freed without the cyclic collector."""
+    yes, yes_grand = ashg.reduce_partition(ashg.PartitionInstance((1, 1, 2)))
+    no, no_grand = ashg.reduce_partition(ashg.PartitionInstance((2, 3, 7)))
+    six = ashg.example_six_player()
+    rows = six.rows
+
+    def refuse(members, have):
+        raise RuntimeError("refused")
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert ashg.find_csc_violation(yes.game, yes_grand) is not None  # both phases
+        assert ashg.find_csc_violation(no.game, no_grand) is None  # the feasibility phase alone
+        assert ashg.core_exists(six) is None and ashg.core_exists(six, strict=True) is None
+        with pytest.raises(RuntimeError):
+            _first_coalition(rows, _tables(rows), [0] * six.n, refuse)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0

@@ -203,14 +203,58 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
+def _parsed(text):
+    g = ashg.parse_game(text)
+    return g.labels, g.rows, g.scale
+
+
 @given(text=game_files())
 @settings(max_examples=400, deadline=None)
 def test_parse_game_matches_reference(text):
-    def parse(text):
-        g = ashg.parse_game(text)
-        return g.labels, g.rows, g.scale
+    assert _outcome(_parsed, text) == _outcome(reference_parse_game, text)
 
-    assert _outcome(parse, text) == _outcome(reference_parse_game, text)
+
+# a few values, each with several spellings, so most tokens repeat and equal
+# values arrive under different tokens; "x" and "1/0" are bad wherever they are
+SPELLINGS = st.sampled_from(["1/2", "2/4", "+1", "01", "1", "-0", "0/5", "0", "-3/6", "-1/2", "-1"])
+REPEATED_TOKENS = SPELLINGS | st.sampled_from(["x", "1/0"])
+
+
+@st.composite
+def repeated_token_files(draw):
+    labels = draw(st.lists(TOKENS, min_size=1, max_size=6, unique=True))
+    every = [(a, b) for a in labels for b in labels]  # self-pairs too: nonzero ones raise
+    pairs = draw(st.lists(st.sampled_from(every), unique=True, max_size=len(every)))
+    bad = draw(st.integers(0, 20))  # 1 in 21 files draws bad tokens too
+    values = REPEATED_TOKENS if bad == 0 else SPELLINGS
+    lines = ["players " + " ".join(labels)] + [f"val {a} {b} {draw(values)}" for a, b in pairs]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "default " + draw(values))
+    return "\n".join(lines) + "\n"
+
+
+@given(text=repeated_token_files())
+@settings(max_examples=300, deadline=None)
+def test_parse_game_with_repeated_tokens_matches_reference(text):
+    assert _outcome(_parsed, text) == _outcome(reference_parse_game, text)
+
+
+class TestRepeatedTokens:
+    def test_a_repeated_bad_token_raises_at_its_first_line(self):
+        # each later line would raise a different error, had the first bad one passed
+        with pytest.raises(GameFormatError, match=exactly("bad rational: 'x' (use p or p/q with q > 0)")):
+            ashg.parse_game("players a b\nval a b x\nval a b x\n")
+        with pytest.raises(GameFormatError, match=exactly("bad rational: '1/0' (use p or p/q with q > 0)")):
+            ashg.parse_game("players a b\nval a b 1/0\nval b a 1/0\nval a b 1\n")
+
+    def test_a_default_token_also_given_as_a_val(self):
+        text = "players a b c\nval a b 1/2\ndefault 1/2\nval b a 1/2\nval c a -1\n"
+        assert _parsed(text) == reference_parse_game(text)
+        assert _parsed(text)[1:] == (((0, 1, 1), (1, 0, 1), (-2, 1, 0)), 2)
+
+    def test_equal_values_under_different_tokens(self):
+        g = ashg.parse_game("players a b c\nval a b 2/4\nval a c 1/2\nval b a +1\nval b c 01\nval c a -0\n")
+        assert (g.rows, g.scale, g.support) == (((0, 1, 1), (2, 0, 2), (0, 0, 0)), 2, [[1, 2], [0, 2], []])
 
 
 class TestSerializeGame:
