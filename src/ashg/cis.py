@@ -15,11 +15,10 @@ stable, but some orders give a partition that is not: the ``bug6`` game of
 dense games. ``ashg solve-cis`` refuses such output with exit 1; item 1 of
 ROADMAP.md tracks the fix.
 
-Cost: one walk over a player's nonzero columns (``Game.support``) when it
-is picked and one when it joins, plus heap work on the liked entries: O(m)
-row steps and O(m log m) heap steps for m nonzero values. The supports cost
-one C-speed pass over the rows when the game is built. No step reads a whole
-row or rescans the pool or a coalition.
+Cost: one walk over a player's stored row (its nonzero values, see
+``Game``) when it is picked and one when it joins, plus heap work on the
+liked entries: O(m) row steps and O(m log m) heap steps for m nonzero
+values. No step reads a dense row or rescans the pool or a coalition.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
     n = game.n
     if n == 0:
         raise EmptyGame()
-    rows, support = game.rows, game.support
+    rows = game.rows
     priority = list(range(n))
     if seed is not None:
         random.Random(seed).shuffle(priority)
@@ -84,10 +83,10 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
             continue
         row = rows[a]
         pool_friends, worth = [], {}  # worth[k]: a's total value for coalition k
-        for b in support[a]:
+        for b, v in row.items():
             if home[b] >= 0:
-                worth[home[b]] = worth.get(home[b], 0) + row[b]
-            elif row[b] > 0:
+                worth[home[b]] = worth.get(home[b], 0) + v
+            elif v > 0:
                 pool_friends.append(b)
         h = sum(row[b] for b in pool_friends)
         z = -1  # index into vetoes; -1 = found none, a becomes a leader
@@ -119,9 +118,8 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
             for p in newcomers:  # place them all first: none queues another
                 home[p] = z
             for p in newcomers:
-                r = rows[p]
-                for b in support[p]:
-                    if r[b] < 0:
+                for b, v in rows[p].items():
+                    if v < 0:
                         veto.add(b)
                     elif home[b] < 0 and b not in veto:
                         heappush(ready, b)

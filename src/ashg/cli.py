@@ -66,14 +66,22 @@ def _parse_weights(spec: str) -> PartitionInstance:
     # ASCII digits only: int() alone also takes "1_0" and non-ASCII digits
     if not all(_WEIGHT_RE.fullmatch(t) for t in tokens):
         raise AshgError(f"bad weight list: {spec!r}")
-    return PartitionInstance(tuple(int(t) for t in tokens))
+    return PartitionInstance(tuple(_int(t, f"weight {k + 1}", AshgError) for k, t in enumerate(tokens)))
+
+
+def _int(token: str, what: str, error) -> int:
+    """``int(token)`` of a checked token; past int()'s digit limit, ``error`` names its length only."""
+    try:
+        return int(token)
+    except ValueError:
+        raise error(f"{what} too long: {len(token)} characters") from None
 
 
 def _seed(token: str) -> int:
     # ASCII digits only, as in weight lists; int() alone takes "1_0" and " 10 "
     if not _WEIGHT_RE.fullmatch(token):
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}")
-    return int(token)
+    return _int(token, "seed", argparse.ArgumentTypeError)
 
 
 def _load_weights(args) -> PartitionInstance:

@@ -48,10 +48,10 @@ class EmptyGame(AshgError):
 
 
 class TooLarge(AshgError):
-    """An exhaustive search was refused because the game exceeds the cap."""
+    """An input was refused because it exceeds a size cap, by default an exhaustive search's."""
 
-    def __init__(self, n, cap):
-        super().__init__(f"{n} players exceeds the exhaustive-search cap of {cap}")
+    def __init__(self, n, cap, unit="players", kind="exhaustive-search"):
+        super().__init__(f"{n} {unit} exceeds the {kind} cap of {cap}")
         self.n = n
         self.cap = cap
 

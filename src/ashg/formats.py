@@ -26,12 +26,15 @@ from .game import Game, Partition, Rational, _as_rational, _from_cells, validate
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
-def parse_rational(token: str) -> Rational:
-    """An ``int`` for ``p``, a ``Fraction`` for ``p/q``."""
+def parse_rational(token: str, lineno: Optional[int] = None) -> Rational:
+    """An ``int`` for ``p``, a ``Fraction`` for ``p/q``; ``lineno`` is named if it is too long."""
     if not _RATIONAL_RE.fullmatch(token):
         raise GameFormatError(f"bad rational: {token!r} (use p or p/q with q > 0)")
-    # the regex admits ASCII digits only, which is all int() then sees
-    return Fraction(*map(int, token.split("/"))) if "/" in token else int(token)
+    try:  # the regex admits ASCII digits only, which is all int() then sees
+        return Fraction(*map(int, token.split("/"))) if "/" in token else int(token)
+    except ValueError:  # more digits than int() converts; the token is not echoed
+        where = "" if lineno is None else f"line {lineno}: "
+        raise GameFormatError(f"{where}rational too long: {len(token)} characters") from None
 
 
 def _content_lines(text: str):
@@ -43,8 +46,8 @@ def _content_lines(text: str):
 
 
 def parse_game(text: str) -> Game:
-    """Checks and converts each distinct value token once, to an int or ``Fraction(int, int)``
-    that every cell spelled with it shares, then scales the cells into integer rows."""
+    """Checks and converts each distinct value token once, to an int or ``Fraction(int, int)``;
+    each cell holds the first copy of its token, and ``scaled_rows`` scales each token once."""
     lines = _content_lines(text)
     lineno, tokens = next(lines, (0, None))
     if tokens is None:
@@ -57,8 +60,9 @@ def parse_game(text: str) -> Game:
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise GameFormatError(f"line {lineno}: duplicate player label")
-    cells = [{} for _ in labels]  # per row: column -> value as given
-    parsed = {}  # value token -> its value, for this call only; a bad token raises, never enters
+    cells = [{} for _ in labels]  # per row: column -> value token
+    # for this call only, value token -> its first copy and -> its value; a bad token never enters
+    seen, values = {}, {}
     default = self_valued = None  # self_valued: the first label with a nonzero self-value
     for lineno, tokens in lines:
         if tokens[0] == "val":
@@ -70,23 +74,24 @@ def parse_game(text: str) -> Game:
                 raise GameFormatError(f"line {lineno}: undeclared player in val line")
             if j in cells[i]:
                 raise GameFormatError(f"line {lineno}: duplicate val for pair {a} {b}")
-            value = parsed.get(tok)
-            if value is None:
-                value = parsed[tok] = parse_rational(tok)
-            cells[i][j] = value
-            if i == j and value != 0 and self_valued is None:
+            key = seen.get(tok)
+            if key is None:
+                values[tok] = parse_rational(tok, lineno)
+                key = seen[tok] = tok
+            cells[i][j] = key
+            if i == j and values[key] != 0 and self_valued is None:
                 self_valued = a
         elif tokens[0] == "default":
             if len(tokens) != 2:
                 raise GameFormatError(f"line {lineno}: default takes one rational")
             if default is not None:
                 raise GameFormatError(f"line {lineno}: duplicate default line")
-            default = parse_rational(tokens[1])
+            default = parse_rational(tokens[1], lineno)
         else:
             raise GameFormatError(f"line {lineno}: unknown directive {tokens[0]!r}")
     if self_valued is not None:
         raise GameFormatError(f"nonzero self-value for player {self_valued!r}")
-    return _from_cells(labels, cells, 0 if default is None else default)
+    return _from_cells(labels, cells, values, 0 if default is None else default)
 
 
 def serialize_game(game: Game, default: Optional[Rational] = None) -> str:
@@ -99,8 +104,10 @@ def serialize_game(game: Game, default: Optional[Rational] = None) -> str:
     elided = base * scale  # no scaled int equals it unless it is whole
     elided = elided.numerator if elided.denominator == 1 else None
     for i, row in enumerate(game.rows):
-        for j, scaled in enumerate(row):
-            if scaled != elided and i != j:
+        # unless zeros are elided, a pair absent from the row is written as 0
+        items = row.items() if elided == 0 else ((j, row.get(j, 0)) for j in range(game.n) if j != i)
+        for j, scaled in items:
+            if scaled != elided:
                 q = scale // math.gcd(scaled, scale)  # in lowest terms, as str(Fraction(scaled, scale))
                 text = f"{scaled * q // scale}/{q}" if q > 1 else f"{scaled // scale}"
                 lines.append(f"val {labels[i]} {labels[j]} {text}")

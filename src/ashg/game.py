@@ -2,7 +2,7 @@
 
 A game is a fixed ordered set of player labels together with a value
 ``v_i(j)`` for every ordered pair of players. Values are exact rationals,
-stored as integer rows over one common positive scale; the self-value
+stored as sparse integer rows over one common positive scale; the self-value
 ``v_i(i)`` is always zero, and all derived quantities (utilities,
 comparisons) are computed exactly. Players are addressed by dense 0-based
 index internally; labels exist for I/O.
@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import compress
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DuplicatePlayer,
@@ -27,6 +26,7 @@ from .errors import (
     GameFormatError,
     MissingPlayer,
     PlayerNotInCoalition,
+    TooLarge,
     UnknownPlayer,
 )
 
@@ -45,49 +45,61 @@ def _as_rational(value) -> Rational:
     return Fraction(value)
 
 
-def _scaled(cells: list, default: Rational):
-    """``(rows, scale, support)`` from per-row dicts ``{column: int or Fraction}``: integer
-    rows over one lcm scale, and each row's nonzero columns (see ``Game``)."""
+# Most off-diagonal cells a game may store when its unlisted pairs take a
+# nonzero default: such a game is dense, and each cell costs a dict entry.
+DENSE_CAP = 1_000_000
+
+
+def scaled_rows(cells: list, values: dict, default: Rational):
+    """``(rows, scale)`` from per-row cells ``{column: key}`` and each key's value (see
+    ``Game``). Each distinct value is scaled once; ``cells`` is emptied row by row."""
     n = len(cells)  # the default counts only if some off-diagonal pair takes it
-    uses_default = any(len(row) - (i in row) < n - 1 for i, row in enumerate(cells))
-    denominators = {v.denominator for row in cells for v in row.values() if type(v) is Fraction}
-    scale = math.lcm(*denominators, default.denominator if uses_default else 1)
+    uses_default = default != 0 and any(len(row) - (i in row) < n - 1 for i, row in enumerate(cells))
+    scale = math.lcm(*{v.denominator for v in values.values() if type(v) is not int},
+                     default.denominator if uses_default else 1)
+    scaled = {k: v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+              for k, v in values.items()}
     fill = default.numerator * (scale // default.denominator) if uses_default else 0
-    rows = [[fill] * n for _ in cells]
+    if fill and n * (n - 1) > DENSE_CAP:
+        raise TooLarge(n * (n - 1), DENSE_CAP, "cells", "dense-game")
+    scaled[None] = fill  # the key of every pair not given
+    rows = []
     for i, row in enumerate(cells):
-        for j, v in row.items():
-            rows[i][j] = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
-        rows[i][i] = 0
-    columns = list(range(n))  # every support entry refers to one of these ints
-    # lists, not tuples: short-lived games with many short tuples raised peak RSS
-    return tuple(map(tuple, rows)), scale, [list(compress(columns, row)) for row in rows]
+        cells[i] = None  # dropped once its row is built
+        get = row.get
+        rows.append({j: s for j in (range(n) if fill else sorted(row)) if (s := scaled[get(j)]) and j != i})
+    return rows, scale
 
 
-def _from_cells(labels: Tuple[str, ...], cells: list, default: Rational) -> "Game":
+def dense_rows(game: "Game") -> list:
+    """The integer rows as an n×n matrix of lists, for the exhaustive searches (n is capped)."""
+    return [[row.get(j, 0) for j in range(game.n)] for row in game.rows]
+
+
+def _from_cells(labels: Tuple[str, ...], cells: list, values: dict, default: Rational) -> "Game":
     """The trusted constructor: labels valid and distinct, no nonzero self-value in ``cells``."""
     game = Game.__new__(Game)
     game.labels, game._index = labels, {lab: i for i, lab in enumerate(labels)}
-    game.rows, game.scale, game.support = _scaled(cells, default)
+    game.rows, game.scale = scaled_rows(cells, values, default)
     return game
 
 
 class Game:
     """An additively separable hedonic game over ``n`` labeled players.
 
-    Values are stored once, as integers: ``v_i(j) == rows[i][j] / scale``,
-    where ``scale`` is the lcm of the denominators of the stored off-diagonal
-    values. Equal games therefore have equal ``(rows, scale)``, and since the
-    scale is positive, sums and comparisons of row entries agree exactly with
-    the rational values. ``value`` and the utility functions return
-    ``Fraction``s.
-
-    ``support[i]`` is the ascending list of the players ``j != i`` with
-    ``rows[i][j] != 0``, to be read, not changed. It is derived from ``rows``
-    when the game is built and takes no part in equality or hashing; values
-    are read from ``rows`` only.
+    Values are stored once, as integers, and only where they are nonzero:
+    ``rows[i]`` is a dict, to be read and not changed, that maps each player
+    ``j != i`` with ``v_i(j) != 0`` to ``v_i(j) * scale``, in ascending ``j``.
+    ``scale`` is the lcm of the denominators of the given off-diagonal values
+    (and of the default, if some pair takes it). Equal games therefore have
+    equal ``(rows, scale)``, and since the scale is positive, sums and
+    comparisons of row entries agree exactly with the rational values. A game
+    costs its nonzero values, not n², unless a nonzero default fills every
+    pair; ``DENSE_CAP`` bounds that case. ``value`` and the utility functions
+    return ``Fraction``s.
     """
 
-    __slots__ = ("labels", "_index", "rows", "scale", "support")
+    __slots__ = ("labels", "_index", "rows", "scale")
 
     def __init__(self, labels: Sequence[str], values: Mapping[Tuple[str, str], Rational] = (),
                  default: Rational = 0):
@@ -116,13 +128,13 @@ class Game:
             if self._index.setdefault(lab, i) != i:
                 raise GameFormatError(f"duplicate player label: {lab!r}")
         default = _as_rational(default)
-        cells = [{} for _ in labels]
+        cells, values = [{} for _ in labels], {}  # each value is its own key
         for i, j, v in entries:
             v = _as_rational(v)
             if i == j and v != 0:
                 raise GameFormatError(f"nonzero self-value for player {labels[i]!r}")
-            cells[i][j] = v
-        self.rows, self.scale, self.support = _scaled(cells, default)
+            cells[i][j] = values[v] = v
+        self.rows, self.scale = scaled_rows(cells, values, default)
 
     @property
     def n(self) -> int:
@@ -141,7 +153,7 @@ class Game:
     def value(self, i: int, j: int) -> Fraction:
         self._check_player(i)
         self._check_player(j)
-        return Fraction(self.rows[i][j], self.scale)
+        return Fraction(self.rows[i].get(j, 0), self.scale)
 
     def _check_player(self, player) -> None:
         if not isinstance(player, int) or not 0 <= player < self.n:
@@ -157,19 +169,23 @@ class Game:
         return (self.labels, self.rows, self.scale) == (other.labels, other.rows, other.scale)
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.rows, self.scale))
+        return hash((self.labels, tuple(tuple(row.items()) for row in self.rows), self.scale))
 
     def __repr__(self) -> str:
         return f"Game({self.n} players: {' '.join(self.labels)})"
 
 
-def int_utility(game: Game, player: int, members: Iterable[int]) -> int:
+def int_utility(game: Game, player: int, members: Collection[int]) -> int:
     """``game.scale`` times the player's utility in ``members``; no checks.
 
-    ``members`` may include the player itself, whose self-value is zero.
+    ``members`` (a set, for speed) may include the player itself, whose
+    self-value is zero. The smaller of it and the player's row is walked.
     """
     row = game.rows[player]
-    return sum(row[j] for j in members)
+    if len(row) <= len(members):
+        return sum(v for j, v in row.items() if j in members)
+    get = row.get
+    return sum(get(j, 0) for j in members)
 
 
 class Partition:
@@ -270,20 +286,17 @@ def friends(game: Game, player: int, pool: Iterable[int]) -> frozenset:
     game._check_player(player)
     pool = frozenset(pool)
     game._check_members(pool)
-    row = game.rows[player]
-    return frozenset(j for j in pool if row[j] > 0)
+    get = game.rows[player].get
+    return frozenset(j for j in pool if get(j, 0) > 0)
 
 
 def is_symmetric(game: Game) -> bool:
-    m = game.rows
-    n = game.n
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+    m = game.rows  # an asymmetric pair has a nonzero side, which is checked
+    return all(m[j].get(i, 0) == v for i, row in enumerate(m) for j, v in row.items())
 
 
 def is_strict(game: Game) -> bool:
-    m = game.rows
-    n = game.n
-    return all(m[i][j] != 0 for i in range(n) for j in range(n) if i != j)
+    return all(len(row) == game.n - 1 for row in game.rows)
 
 
 def is_individually_rational(game: Game, partition: Partition) -> Tuple[bool, Optional[int]]:

@@ -14,7 +14,8 @@ witnesses are those of the full enumeration. A CSC check first decides if
 any witness exists, deciding the most-connected players first and cutting
 on harm to players left out; then the mask-order walk finds the first one.
 
-All comparisons run on the game's integer rows, so results are exact.
+All comparisons run on the game's integer rows, so results are exact. The
+exhaustive searches copy them into a local dense matrix first (n is capped).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from itertools import accumulate
 from typing import List, Optional, Union
 
 from .errors import TooLarge
-from .game import Coalition, Game, Partition, int_utility, is_individually_rational, validate_partition
+from .game import (Coalition, Game, Partition, dense_rows, int_utility, is_individually_rational,
+                   validate_partition)
 
 # Largest games the exponential searches accept: coalition scans (2**n
 # masks) and partition searches (Bell(n) partitions). Larger inputs raise
@@ -78,11 +80,11 @@ def _current_utilities(game: Game, part: Partition):
 def _find_deviation(game, partition, admission, release) -> Optional[DeviationMove]:
     """First improving move, by player, then by block, then to a new singleton.
 
-    Worths come from the mover's nonzero columns, and the players a block's
-    members like and dislike from theirs, once per block when first asked:
-    O(m + n * blocks) steps in all."""
+    Worths come from the mover's stored row, which holds only its nonzero
+    values, and the players a block's members like and dislike from theirs,
+    once per block when first asked: O(m + n * blocks) steps in all."""
     part = validate_partition(game, partition)
-    rows, support, blocks = game.rows, game.support, part.blocks
+    rows, blocks = game.rows, part.blocks
     home = [0] * game.n
     for k, b in enumerate(blocks):
         for p in b:
@@ -93,17 +95,16 @@ def _find_deviation(game, partition, admission, release) -> Optional[DeviationMo
         if views[k] is None:
             views[k] = liked, disliked = set(), set()
             for j in blocks[k]:
-                row = rows[j]
-                for q in support[j]:
-                    (liked if row[q] > 0 else disliked).add(q)
+                for q, v in rows[j].items():
+                    (liked if v > 0 else disliked).add(q)
         return views[k]
 
     for p in range(game.n):
-        own, row, worth = home[p], rows[p], {}
+        own, worth = home[p], {}
         if release and p in view(own)[0]:
             continue
-        for j in support[p]:
-            worth[home[j]] = worth.get(home[j], 0) + row[j]
+        for j, v in rows[p].items():
+            worth[home[j]] = worth.get(home[j], 0) + v
         cur = worth.get(own, 0)
         # below 0, a block p values at 0 is an improving target too
         for k in range(len(blocks)) if cur < 0 else sorted(worth):
@@ -254,7 +255,7 @@ def _blocking(game, partition, strong: bool, csc: bool = False) -> Optional[Bloc
     part = validate_partition(game, partition)
     if game.n > SUBSET_CAP:
         raise TooLarge(game.n, SUBSET_CAP)
-    rows = game.rows
+    rows = dense_rows(game)
     cur = _current_utilities(game, part)
     floor = [c + strong for c in cur]
     accept = gains = lambda members, have: any(have[p] > cur[p] for p in members)
@@ -303,7 +304,7 @@ def find_pareto_improvement(game: Game, partition) -> Optional[Partition]:
     part = validate_partition(game, partition)
     if game.n > PARTITION_CAP:
         raise TooLarge(game.n, PARTITION_CAP)
-    rows = game.rows
+    rows = dense_rows(game)
     base = _current_utilities(game, part)
     return _first_partition(rows, _tables(rows)[0], base, lambda have: have != base)
 
@@ -342,7 +343,7 @@ def core_exists(game: Game, strict: bool = False) -> Optional[Partition]:
     """
     if game.n > PARTITION_CAP:
         raise TooLarge(game.n, PARTITION_CAP)
-    rows = game.rows
+    rows = dense_rows(game)
     tab = _tables(rows)
 
     def unblocked(cur):  # no blocker by ``_blocking``'s rule: strong for core, weak for strict core

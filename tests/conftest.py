@@ -7,6 +7,7 @@ generator, so library results can be checked against an independent route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 import ashg
 from ashg.cis import CisTrace, HelpersAdded, LatecomerJoined, LeaderChosen, NeededAdded
 from ashg.errors import EmptyGame, GameFormatError
-from ashg.game import int_utility
 from ashg.stability import DeviationMove
 
 
@@ -156,6 +156,12 @@ def brute_has_deviation(game: ashg.Game, partition: ashg.Partition, concept: str
     return False
 
 
+@functools.lru_cache(maxsize=4)
+def value_matrix(game: ashg.Game):
+    """Every ``game.value(i, j)`` times ``game.scale``, as a dense integer matrix; not to be changed."""
+    return [[int(game.value(i, j) * game.scale) for j in range(game.n)] for i in range(game.n)]
+
+
 def reference_deviation(game: ashg.Game, partition, admission: bool, release: bool):
     """The dense deviation scan that ``_find_deviation`` must match exactly.
 
@@ -164,8 +170,8 @@ def reference_deviation(game: ashg.Game, partition, admission: bool, release: bo
     column of the mover over the whole block.
     """
     part = ashg.validate_partition(game, partition)
-    rows = game.rows
-    cur = [int_utility(game, p, part.block_of(p)) for p in range(game.n)]
+    rows = value_matrix(game)
+    cur = [sum(rows[p][j] for j in part.block_of(p)) for p in range(game.n)]
     for p in range(game.n):
         src = part.block_of(p)
         if release and any(rows[j][p] > 0 for j in src if j != p):
@@ -173,7 +179,7 @@ def reference_deviation(game: ashg.Game, partition, admission: bool, release: bo
         for tgt in part.blocks:
             if p in tgt:
                 continue
-            if int_utility(game, p, tgt) > cur[p]:
+            if sum(rows[p][j] for j in tgt) > cur[p]:
                 if admission and any(rows[j][p] < 0 for j in tgt):
                     continue
                 return DeviationMove(p, src, tgt)
@@ -193,7 +199,7 @@ def reference_cis(game: ashg.Game, seed=None):
     n = game.n
     if n == 0:
         raise EmptyGame()
-    rows = game.rows
+    rows = value_matrix(game)
     if seed is None:
         priority = list(range(n))
     else:
@@ -209,10 +215,10 @@ def reference_cis(game: ashg.Game, seed=None):
         a = min(remaining, key=rank.__getitem__)
         row = rows[a]
         pool_friends = [b for b in remaining if row[b] > 0]
-        h = int_utility(game, a, pool_friends)
+        h = sum(row[b] for b in pool_friends)
         z = -1  # index into coalitions; -1 = found none, a becomes a leader
         for k, members in enumerate(coalitions):
-            h2 = int_utility(game, a, members)
+            h2 = sum(row[j] for j in members)
             # strictly-greater update: ties keep the earliest-created target
             if h < h2 and all(rows[b][a] == 0 for b in members):
                 h = h2
@@ -270,8 +276,9 @@ def reference_parse_game(text: str):
 
     Every value is parsed with ``Fraction(str)`` into a dict keyed by label
     pairs, and the game is then built from that dict, looking both labels of
-    every cell up again by name.
-    Returns ``(labels, rows, scale)``.
+    every cell up again by name, into a dense integer matrix.
+    Returns ``(labels, rows, scale)``, each row as the ``{column: value}`` dict
+    of its nonzero off-diagonal entries, the form ``Game.rows`` stores.
     """
 
     def parse_rational(token):
@@ -351,4 +358,4 @@ def reference_parse_game(text: str):
         rows[i][j] = v.numerator * (scale // v.denominator)
     for i in range(n):
         rows[i][i] = 0
-    return labels, tuple(map(tuple, rows)), scale
+    return labels, [{j: v for j, v in enumerate(row) if v} for row in rows], scale

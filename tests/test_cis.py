@@ -251,8 +251,8 @@ def test_matches_reference_on_sparse_games(n, default):
     rng = random.Random(n)
     game = sparse_game(rng, n, degree=8)
     if default:  # the listed values stay; every other pair takes the default
-        values = {(game.labels[i], game.labels[j]): v for i, row in enumerate(game.rows)
-                  for j, v in enumerate(row) if v}
+        values = {(game.labels[i], game.labels[j]): game.value(i, j) for i, row in enumerate(game.rows)
+                  for j in row}
         game = ashg.Game(game.labels, values, default=default)
     for seed in [None] + [rng.randint(0, 2**32) for _ in range(3)]:
         assert_matches_reference(game, seed)

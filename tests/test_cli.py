@@ -294,6 +294,42 @@ class TestNonUtf8Input:
         self.check(capsys, ["oracle", "partition", "--weights-file", bad], bad)
 
 
+# int() refuses decimal strings past this many digits (0: no limit, on Pythons before 3.10.7)
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="this Python converts decimal strings of any length")
+class TestLongIntegers:
+    """A number past int()'s digit limit is an input error that names its length, not a traceback."""
+
+    LONG = "7" * (INT_DIGITS + 1)
+
+    @pytest.mark.parametrize("line,where", [("val a b {}", 2), ("val a b 1/{}", 2), ("default -{}/3", 2),
+                                            ("val a b 1/2\ndefault {}", 3)])
+    def test_game_values(self, capsys, tmp_path, line, where):
+        path = tmp_path / "long.game"
+        path.write_text("players a b\n" + line.format(self.LONG) + "\n")
+        assert main(["solve-cis", str(path)]) == 1
+        width = len(line.format(self.LONG).split()[-1])
+        assert capsys.readouterr() == ("", f"error: line {where}: rational too long: {width} characters\n")
+
+    def test_weights(self, capsys, tmp_path):
+        expected = ("", f"error: weight 2 too long: {INT_DIGITS + 1} characters\n")
+        assert main(["oracle", "partition", "-w", f"3,{self.LONG},1"]) == 1
+        assert capsys.readouterr() == expected
+        wf = tmp_path / "w.txt"
+        wf.write_text(f"3\n{self.LONG}\n1\n")
+        assert main(["gen", "partition", "--weights-file", str(wf)]) == 1
+        assert capsys.readouterr() == expected
+
+    def test_seed_is_a_usage_error_that_does_not_echo_it(self, capsys, ex6_file):
+        assert main(["solve-cis", ex6_file, "--seed", self.LONG]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and err.endswith(
+            f"error: argument --seed: seed too long: {INT_DIGITS + 1} characters\n")
+        assert self.LONG not in err
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

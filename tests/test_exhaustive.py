@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ashg
-from ashg.game import int_utility
+from ashg.game import dense_rows, int_utility
 from ashg.stability import _first_coalition, _tables
 
 from conftest import (
@@ -124,7 +124,8 @@ def test_blocking_witnesses_are_smallest_mask():
 def bounded_walk(game, pi, order):
     """What the outsider-bounded coalition walk accepts on ``game`` relabeled so that
     new player ``k`` is ``order[k]``: a coalition in the original numbers, or None."""
-    rows = [[game.rows[p][q] for q in order] for p in order]
+    dense = dense_rows(game)
+    rows = [[dense[p][q] for q in order] for p in order]
     cur = [int_utility(game, p, pi.block_of(p)) for p in order]
     block = [pi.blocks.index(pi.block_of(p)) for p in order]
     found = _first_coalition(rows, _tables(rows), cur, lambda m, have: any(have[p] > cur[p] for p in m), block)
@@ -230,7 +231,7 @@ def test_walks_leave_no_cyclic_garbage():
     yes, yes_grand = ashg.reduce_partition(ashg.PartitionInstance((1, 1, 2)))
     no, no_grand = ashg.reduce_partition(ashg.PartitionInstance((2, 3, 7)))
     six = ashg.example_six_player()
-    rows = six.rows
+    rows = dense_rows(six)
 
     def refuse(members, have):
         raise RuntimeError("refused")

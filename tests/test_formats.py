@@ -2,6 +2,8 @@
 
 import random
 import re
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ashg
-from ashg.errors import AshgError, DuplicatePlayer, GameFormatError, MissingPlayer, UnknownPlayer
+from ashg.errors import AshgError, DuplicatePlayer, GameFormatError, MissingPlayer, TooLarge, UnknownPlayer
+from ashg.cli import main
 from ashg.formats import parse_rational
 
 from conftest import TOKENS, random_rational_rows, reference_parse_game
@@ -250,11 +253,11 @@ class TestRepeatedTokens:
     def test_a_default_token_also_given_as_a_val(self):
         text = "players a b c\nval a b 1/2\ndefault 1/2\nval b a 1/2\nval c a -1\n"
         assert _parsed(text) == reference_parse_game(text)
-        assert _parsed(text)[1:] == (((0, 1, 1), (1, 0, 1), (-2, 1, 0)), 2)
+        assert _parsed(text)[1:] == ([{1: 1, 2: 1}, {0: 1, 2: 1}, {0: -2, 1: 1}], 2)
 
     def test_equal_values_under_different_tokens(self):
         g = ashg.parse_game("players a b c\nval a b 2/4\nval a c 1/2\nval b a +1\nval b c 01\nval c a -0\n")
-        assert (g.rows, g.scale, g.support) == (((0, 1, 1), (2, 0, 2), (0, 0, 0)), 2, [[1, 2], [0, 2], []])
+        assert (g.rows, g.scale) == ([{1: 1, 2: 1}, {0: 2, 2: 2}, {}], 2)
 
 
 class TestSerializeGame:
@@ -315,10 +318,10 @@ def fraction_route(game, default):
     if default is not None:
         lines.append(f"default {Fraction(default)}")
     base = Fraction(0 if default is None else default)
-    for i, row in enumerate(game.rows):
-        for j, scaled in enumerate(row):
-            if i != j and Fraction(scaled, game.scale) != base:
-                lines.append(f"val {game.labels[i]} {game.labels[j]} {Fraction(scaled, game.scale)}")
+    for i in range(game.n):
+        for j in range(game.n):
+            if i != j and game.value(i, j) != base:
+                lines.append(f"val {game.labels[i]} {game.labels[j]} {game.value(i, j)}")
     return "\n".join(lines) + "\n"
 
 
@@ -333,6 +336,63 @@ def test_serialize_game_matches_fraction_route(data, n, scale):
         st.none() | st.integers(-5, 5) | st.fractions(max_denominator=10**6) | st.sampled_from(sum(rows, []))
     )
     assert ashg.serialize_game(game, default=default) == fraction_route(game, default)
+
+
+def sparse_game_text(n, degree=8, seed=5):
+    """A game file in which each player values ``degree`` others at nonzero integers in -10..10."""
+    rng = random.Random(seed)
+    lines = ["players " + " ".join(f"p{i}" for i in range(n))]
+    for i in range(n):
+        for j in sorted(j + (j >= i) for j in rng.sample(range(n - 1), degree)):  # j != i
+            lines.append(f"val p{i} p{j} {rng.choice([v for v in range(-10, 11) if v])}")
+    return "\n".join(lines) + "\n"
+
+
+class TestLargeGames:
+    """A game stores its nonzero values only, so a sparse file costs its size and not n²."""
+
+    def test_many_players_and_a_zero_default_parse_and_solve_in_linear_time(self):
+        text = "players " + " ".join(f"p{i}" for i in range(50_000)) + "\ndefault 0\n"
+        start = time.perf_counter()
+        game = ashg.parse_game(text)
+        part, _ = ashg.compute_cis(game)
+        # n² cells would be 2.5e9; the linear work takes about 0.1 s on a 2-core VM
+        assert time.perf_counter() - start < 2
+        assert part == ashg.Partition.singletons(50_000)
+
+    def test_a_nonzero_default_over_the_dense_cap_is_refused_before_any_cell(self, capsys, tmp_path):
+        text = "players " + " ".join(f"p{i}" for i in range(50_000)) + "\ndefault -1/2\n"
+        message = exactly("2499950000 cells exceeds the dense-game cap of 1000000")
+        with pytest.raises(TooLarge, match=message):
+            ashg.parse_game(text)
+        with pytest.raises(TooLarge, match=message):
+            ashg.Game([f"p{i}" for i in range(50_000)], default=1)
+        path = tmp_path / "dense.game"
+        path.write_text(text)
+        assert main(["solve-cis", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: 2499950000 cells exceeds the dense-game cap of 1000000\n")
+
+    def test_the_dense_cap_counts_the_cells_a_default_fills(self, monkeypatch):
+        monkeypatch.setattr(ashg.game, "DENSE_CAP", 6)
+        assert ashg.parse_game("players a b c\ndefault 1\n").value(2, 1) == 1  # 6 cells
+        with pytest.raises(TooLarge, match=exactly("12 cells exceeds the dense-game cap of 6")):
+            ashg.parse_game("players a b c d\ndefault 1\n")
+        # a default no pair takes fills nothing, and a zero default never does
+        every = "".join(f"val {a} {b} 2\n" for a in "abcd" for b in "abcd" if a != b)
+        assert ashg.parse_game("players a b c d\ndefault 1\n" + every).rows[0] == {1: 2, 2: 2, 3: 2}
+        assert ashg.parse_game("players a b c d\ndefault 0\n").rows == [{}, {}, {}, {}]
+
+    def test_parsing_a_sparse_10000_player_file_stays_small(self):
+        text = sparse_game_text(10_000)  # 80,000 values, 1.7 MB
+        tracemalloc.start()
+        try:
+            game = ashg.parse_game(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, game.rows)) == 80_000
+        # about 10 MB on Python 3.11; dense rows took 1.5 GB
+        assert peak < 64 * 2**20
 
 
 class TestPartitionFormat:

@@ -67,7 +67,7 @@ class TestGameConstruction:
             default=Fraction(1, 4),
         )
         assert g.scale == 12
-        assert g.rows == ((0, 6, 3), (8, 0, 3), (3, 3, 0))
+        assert g.rows == [{1: 6, 2: 3}, {0: 8, 2: 3}, {0: 3, 1: 3}]
 
     def test_unused_default_leaves_equality_and_hash(self):
         values = {("a", "b"): 1, ("b", "a"): Fraction(-1, 2)}
@@ -275,7 +275,7 @@ def test_utility_matches_direct_sum(data, n):
 
 @given(data=st.data(), n=st.integers(1, 6), default=st.sampled_from([None, 0, -1, Fraction(1, 3)]))
 @settings(max_examples=150, deadline=None)
-def test_support_lists_the_nonzero_off_diagonal_columns(data, n, default):
+def test_rows_hold_exactly_the_nonzero_off_diagonal_values(data, n, default):
     labels = [f"p{i}" for i in range(n)]
     # None: no val line; 0: an explicit "val a b 0", on the diagonal too
     cells = data.draw(st.lists(st.none() | st.sampled_from([0, 0, 2, -1, Fraction(-5, 2)]),
@@ -283,10 +283,19 @@ def test_support_lists_the_nonzero_off_diagonal_columns(data, n, default):
     values = {(labels[k // n], labels[k % n]): v for k, v in enumerate(cells)
               if v is not None and (k // n != k % n or v == 0)}
     text = "players " + " ".join(labels) + "\n" + ("" if default is None else f"default {default}\n")
-    text += "".join(f"val {a} {b} {v}\n" for (a, b), v in values.items())
+    text += "".join(data.draw(st.permutations([f"val {a} {b} {v}\n" for (a, b), v in values.items()])))
     parsed = ashg.parse_game(text)
     built = ashg.Game(labels, values, default=0 if default is None else default)
-    matrix = ashg.Game.from_matrix(labels, [[parsed.value(i, j) for j in range(n)] for i in range(n)])
+    expected = [[0 if i == j else Fraction(values.get((a, b), default or 0)) for j, b in enumerate(labels)]
+                for i, a in enumerate(labels)]
+    matrix = ashg.Game.from_matrix(labels, expected)
     for game in (parsed, built, matrix):
-        assert game.support == [[j for j in range(n) if j != i and game.rows[i][j] != 0] for i in range(n)]
+        for i in range(n):  # nonzero values only, none on the diagonal, in ascending column order
+            assert list(game.rows[i].items()) == [(j, v * game.scale) for j, v in enumerate(expected[i]) if v]
+            assert all(type(v) is int for v in game.rows[i].values())
     assert parsed == built == matrix
+    for spelled in (None, 0, default):  # each game's text parses back to the same bytes
+        text = ashg.serialize_game(parsed, default=spelled)
+        assert ashg.parse_game(text) == parsed
+        assert ashg.serialize_game(ashg.parse_game(text), default=spelled) == text
+        assert text == ashg.serialize_game(built, default=spelled) == ashg.serialize_game(matrix, default=spelled)
