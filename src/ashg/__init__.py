@@ -41,7 +41,6 @@ from .game import (
     Game,
     Partition,
     friends,
-    is_individually_rational,
     is_strict,
     is_symmetric,
     partition_utility,
@@ -61,6 +60,7 @@ from .stability import (
     find_pareto_improvement,
     find_strongly_blocking,
     find_weakly_blocking,
+    is_individually_rational,
     verify,
 )
 

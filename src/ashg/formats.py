@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GameFormatError
+from .errors import AshgError, GameFormatError
 from .game import Game, Partition, Rational, _as_rational, _from_cells, validate_partition
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
@@ -109,7 +109,10 @@ def serialize_game(game: Game, default: Optional[Rational] = None) -> str:
         for j, scaled in items:
             if scaled != elided:
                 q = scale // math.gcd(scaled, scale)  # in lowest terms, as str(Fraction(scaled, scale))
-                text = f"{scaled * q // scale}/{q}" if q > 1 else f"{scaled // scale}"
+                try:  # str() refuses an int past int()'s digit limit, as parse_game would
+                    text = f"{scaled * q // scale}/{q}" if q > 1 else f"{scaled // scale}"
+                except ValueError:
+                    raise AshgError(f"value of {labels[i]} for {labels[j]} too long to write") from None
                 lines.append(f"val {labels[i]} {labels[j]} {text}")
     return "\n".join(lines) + "\n"
 

@@ -4,8 +4,9 @@ Three constructions:
 
 * a six-player symmetric game with an empty core (the hexagon game),
 * a symmetric game built from an exact-cover-by-3-sets instance with
-  distinct triples, whose strict core is nonempty exactly when the instance
-  has an exact cover,
+  distinct triples; an exact cover gives a core-stable witness partition,
+  which is weakly blocked (so not strict-core stable) whenever the cover
+  leaves a triple out,
 * an asymmetric game built from a weight-splitting instance, whose grand
   coalition is contractual-strict-core stable (and Pareto optimal) exactly
   when the weights cannot be split into two equal halves.
@@ -47,8 +48,10 @@ class E3CInstance:
     """Exact-cover-by-3-sets source instance: universe R and 3-element triples.
 
     The triples are distinct, and each element occurs in at most 3 of them,
-    as in the paper's reduction. A repeated triple would break it: a second
-    hub on a covered triple weakly blocks the witness partition.
+    as in the paper's reduction. The witness partition of a cover is core
+    stable, but the hub of any triple the cover leaves out weakly blocks it
+    with that triple's ``x6`` players, who do as well there as in their
+    chosen hub's block.
     """
 
     universe: Tuple[str, ...]
@@ -134,7 +137,7 @@ def reduce_e3c(inst: E3CInstance) -> GadgetGame:
 
 
 def witness_partition_e3c(gadget: GadgetGame, cover: Iterable[int]) -> Partition:
-    """The stable candidate built from an exact cover.
+    """The core-stable candidate built from an exact cover.
 
     Per universe element: blocks {x1,x2} and {x3,x4,x5}; per selected triple
     its hub joins the three x6 players; unselected hubs stay singletons.

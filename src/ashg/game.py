@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Collection, Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import (
     DuplicatePlayer,
@@ -297,12 +297,3 @@ def is_symmetric(game: Game) -> bool:
 
 def is_strict(game: Game) -> bool:
     return all(len(row) == game.n - 1 for row in game.rows)
-
-
-def is_individually_rational(game: Game, partition: Partition) -> Tuple[bool, Optional[int]]:
-    """Whether every player does at least as well as alone; else the lowest violator."""
-    part = validate_partition(game, partition)
-    for p in range(game.n):
-        if int_utility(game, p, part.block_of(p)) < 0:
-            return False, p
-    return True, None

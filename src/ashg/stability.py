@@ -10,9 +10,11 @@ restricted-growth-string order.
 
 Each order is one depth-first walk that cuts the branches that cannot
 produce a witness and stops at the first leaf its search accepts, so the
-witnesses are those of the full enumeration. A CSC check first decides if
-any witness exists, deciding the most-connected players first and cutting
-on harm to players left out; then the mask-order walk finds the first one.
+witnesses are those of the full enumeration. Every coalition walk accepts a
+leaf by one rule, some member above its current utility, and a CSC check adds
+one bound that cuts a branch once a player left out is sure to be harmed. A
+CSC check runs that walk twice: first deciding the most-connected players
+first, to learn if any witness exists, then in mask order to find the first.
 
 All comparisons run on the game's integer rows, so results are exact. The
 exhaustive searches copy them into a local dense matrix first (n is capped).
@@ -23,11 +25,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from .errors import TooLarge
-from .game import (Coalition, Game, Partition, dense_rows, int_utility, is_individually_rational,
-                   validate_partition)
+from .game import Coalition, Game, Partition, dense_rows, int_utility, validate_partition
 
 # Largest games the exponential searches accept: coalition scans (2**n
 # masks) and partition searches (Bell(n) partitions). Larger inputs raise
@@ -140,8 +141,9 @@ def _tables(rows):
     return pos, likers, haters, [a + b for a, b in zip(likers, haters)]
 
 
-def _first_coalition(rows, tables, floor, accept, block=None):
-    """``(members, have)`` of the first coalition, by ascending mask, that ``accept`` takes.
+def _first_coalition(rows, tables, cur, strong, block=None):
+    """``(members, have)`` of the first coalition, by ascending mask, that blocks ``cur``:
+    each member ``p`` reaches its floor ``cur[p] + strong`` and one is above ``cur[p]``.
 
     Players are decided from the highest index down, each left out before it is
     taken in. ``have[p]`` is member ``p``'s utility toward the members taken so
@@ -151,28 +153,30 @@ def _first_coalition(rows, tables, floor, accept, block=None):
     members who dislike it. Given ``block`` numbers, a branch is also cut once a
     left-out ``j`` is sure to lose: ``out[j]``, its value toward the taken members
     of its block, plus its negative values toward undecided block-mates, is above
-    0. Both bounds are exact at a leaf; the first one ``accept`` takes ends the walk.
+    0. Deciding ``i`` moves that bound only for ``i`` and its left-out block-mates
+    in ``touched[i]``, so only those are re-checked. Both bounds are exact at a
+    leaf, so a leaf is a witness exactly when some member is above ``cur``.
     """
     pos, likers, haters, touched = tables
-    have, out, inside = [0] * len(rows), [0] * len(rows), [False] * len(rows)
-    members, left = [], [[] for _ in rows]  # left[b]: the left-out players of block b
+    n = len(rows)
+    floor = [c + strong for c in cur]
+    have, out, inside = [0] * n, [0] * n, [False] * n
+    members = []
+    # peers[i]: i and its block-mates decided before it that value it at nonzero (empty without blocks)
+    peers = [[i] + [j for j in touched[i] if block[j] == b] for i, b in enumerate(block)] if block else [()] * n
     # neg[j][k]: the sum of j's negative values toward its block-mates among players 0..k-1
     neg = block and [list(accumulate((min(v, 0) if block[q] == b else 0 for q, v in enumerate(row)),
                                      initial=0)) for row, b in zip(rows, block)]
 
     def walk(i):  # decide player i; players 0..i-1 stay undecided
         if i < 0:
-            return bool(members) and accept(members, have)
-        row = rows[i]
-        mates = () if block is None else left[block[i]]
+            return any(have[p] > cur[p] for p in members)
+        row, near = rows[i], peers[i]
         if not likers[i] or all(have[p] + pos[p][i] >= floor[p] for p in likers[i] if inside[p]):
-            if block is not None:
+            if near:
                 out[i] = sum(row[p] for p in members if block[p] == block[i])
-                mates.append(i)
-            if (not mates or all(out[j] + neg[j][i] <= 0 for j in mates)) and walk(i - 1):
+            if (not near or all(out[j] + neg[j][i] <= 0 for j in near if not inside[j])) and walk(i - 1):
                 return True
-            if block is not None:
-                mates.pop()
         for p in touched[i]:
             if inside[p]:
                 have[p] += rows[p][i]
@@ -182,14 +186,16 @@ def _first_coalition(rows, tables, floor, accept, block=None):
         have[i] = own
         inside[i] = True
         members.append(i)
-        for j in mates:
-            out[j] += rows[j][i]
+        for j in near:
+            if not inside[j]:
+                out[j] += rows[j][i]
         if (own + pos[i][i] >= floor[i]
                 and (not haters[i] or all(have[p] + pos[p][i] >= floor[p] for p in haters[i] if inside[p]))
-                and (not mates or all(out[j] + neg[j][i] <= 0 for j in mates)) and walk(i - 1)):
+                and (not near or all(out[j] + neg[j][i] <= 0 for j in near if not inside[j])) and walk(i - 1)):
             return True
-        for j in mates:
-            out[j] -= rows[j][i]
+        for j in near:
+            if not inside[j]:
+                out[j] -= rows[j][i]
         members.pop()
         inside[i] = False
         for p in touched[i]:
@@ -198,7 +204,7 @@ def _first_coalition(rows, tables, floor, accept, block=None):
         return False
 
     try:
-        return (members, have) if walk(len(rows) - 1) else None
+        return (members, have) if walk(n - 1) else None
     finally:
         walk = None  # walk refers to itself: break the cycle, so its tables are freed at once
 
@@ -257,21 +263,16 @@ def _blocking(game, partition, strong: bool, csc: bool = False) -> Optional[Bloc
         raise TooLarge(game.n, SUBSET_CAP)
     rows = dense_rows(game)
     cur = _current_utilities(game, part)
-    floor = [c + strong for c in cur]
-    accept = gains = lambda members, have: any(have[p] > cur[p] for p in members)
+    block = None
     if csc:  # phase 1: is there any violation? The most-connected players are decided first
+        block = [part.blocks.index(part.block_of(p)) for p in range(game.n)]
         degree = [sum(map(bool, row)) + sum(map(bool, col)) for row, col in zip(rows, zip(*rows))]
         order = sorted(range(game.n), key=lambda p: (degree[p], -p))  # the player at each new index
         relabeled = [[rows[p][q] for q in order] for p in order]
-        block = [part.blocks.index(part.block_of(p)) for p in order]
-        if _first_coalition(relabeled, _tables(relabeled), [floor[p] for p in order],
-                            lambda m, have: any(have[p] > cur[order[p]] for p in m), block) is None:
+        if _first_coalition(relabeled, _tables(relabeled), [cur[p] for p in order], strong,
+                            [block[p] for p in order]) is None:
             return None
-        accept = lambda m, have: all(  # phase 2, in mask order: no one left out loses what S gave it
-            int_utility(game, j, t) <= 0 for b in part.blocks if (t := b & frozenset(m)) for j in b - t
-        ) and gains(m, have)
-
-    found = _first_coalition(rows, _tables(rows), floor, accept)
+    found = _first_coalition(rows, _tables(rows), cur, strong, block)  # phase 2 of a CSC check: mask order
     if found is None:
         return None
     members, have = found
@@ -309,12 +310,21 @@ def find_pareto_improvement(game: Game, partition) -> Optional[Partition]:
     return _first_partition(rows, _tables(rows)[0], base, lambda have: have != base)
 
 
-def verify(game: Game, partition, concept: StabilityConcept) -> StabilityVerdict:
-    """Dispatch to the matching finder; stable iff no witness exists.
+def _find_ir_violation(game: Game, partition) -> Optional[DeviationMove]:
+    """The lowest player worse off than alone, leaving for a new singleton."""
+    part = validate_partition(game, partition)
+    p = next((p for p in range(game.n) if int_utility(game, p, part.block_of(p)) < 0), None)
+    return None if p is None else DeviationMove(p, part.block_of(p), frozenset())
 
-    The finders validate ``partition``; only the IR witness needs the
-    validated ``Partition`` here, to name the violator's block.
-    """
+
+def is_individually_rational(game: Game, partition) -> Tuple[bool, Optional[int]]:
+    """Whether every player does at least as well as alone; else the lowest violator."""
+    witness = _find_ir_violation(game, partition)
+    return witness is None, witness and witness.player
+
+
+def verify(game: Game, partition, concept: StabilityConcept) -> StabilityVerdict:
+    """Dispatch to the matching finder, which validates ``partition``; stable iff no witness exists."""
     finder = {
         StabilityConcept.NS: find_nash_deviation,
         StabilityConcept.IS: find_is_deviation,
@@ -323,15 +333,9 @@ def verify(game: Game, partition, concept: StabilityConcept) -> StabilityVerdict
         StabilityConcept.STRICT_CORE: find_weakly_blocking,
         StabilityConcept.CSC: find_csc_violation,
         StabilityConcept.PARETO: find_pareto_improvement,
-    }.get(concept)
-    if finder is not None:
-        witness = finder(game, partition)
-    elif concept is StabilityConcept.IR:
-        part = validate_partition(game, partition)
-        ok, violator = is_individually_rational(game, part)
-        witness = None if ok else DeviationMove(violator, part.block_of(violator), frozenset())
-    else:  # pragma: no cover
-        raise ValueError(f"unknown concept: {concept!r}")
+        StabilityConcept.IR: _find_ir_violation,
+    }[concept]
+    witness = finder(game, partition)
     return StabilityVerdict(concept, witness is None, witness)
 
 
@@ -339,15 +343,12 @@ def core_exists(game: Game, strict: bool = False) -> Optional[Partition]:
     """First core (or strict-core) stable partition in enumeration order, if any.
 
     Only individually rational partitions are checked: a player below zero
-    is strictly better off alone, so any other partition is blocked.
+    is strictly better off alone, so any other partition is blocked. Each is
+    accepted when the coalition walk finds no strong (core) or weak blocker.
     """
     if game.n > PARTITION_CAP:
         raise TooLarge(game.n, PARTITION_CAP)
     rows = dense_rows(game)
     tab = _tables(rows)
-
-    def unblocked(cur):  # no blocker by ``_blocking``'s rule: strong for core, weak for strict core
-        floor = [c + (not strict) for c in cur]
-        return _first_coalition(rows, tab, floor, lambda m, have: any(have[p] > cur[p] for p in m)) is None
-
-    return _first_partition(rows, tab[0], [0] * game.n, unblocked)
+    return _first_partition(rows, tab[0], [0] * game.n,
+                            lambda cur: _first_coalition(rows, tab, cur, not strict) is None)

@@ -1,12 +1,17 @@
 """CLI surface: exit codes, stable text formats, pipeline soundness."""
 
+import contextlib
+import io
 import itertools
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ashg
 from ashg.cli import main
@@ -322,6 +327,13 @@ class TestLongIntegers:
         assert main(["gen", "partition", "--weights-file", str(wf)]) == 1
         assert capsys.readouterr() == expected
 
+    def test_gadget_values_past_the_limit_are_not_written(self, capsys):
+        # each weight converts, but the gadget's x1-x2 value is minus their total, one digit longer
+        weights = f"{'9' * INT_DIGITS},1,2"
+        assert main(["gen", "partition", "-w", weights]) == 1
+        assert capsys.readouterr() == ("", "error: value of x1 for x2 too long to write\n")
+        assert main(["oracle", "partition", "-w", weights]) == 2
+
     def test_seed_is_a_usage_error_that_does_not_echo_it(self, capsys, ex6_file):
         assert main(["solve-cis", ex6_file, "--seed", self.LONG]) == 1
         err = capsys.readouterr().err
@@ -450,3 +462,79 @@ def test_pipeline_csc_verdict_matches_oracle(capsys, tmp_path):
         )
         oracle_code, _ = run(capsys, "oracle", "partition", "-w", spec)
         assert (verify_code == 0) == (oracle_code == 2)
+
+
+# Small valid inputs for every command that reads text, each game at most 6 players
+ROBUST_BASES = [
+    {"game": "players a b c d\ndefault 0\nval a b 3/2\nval b a -1\nval c d 2\nval d c 1 # friends\n",
+     "part": "a b\nc d\n", "spec": "universe 1 2 3\nset 1 2 3\n", "weights": "1\n1\n2\n", "wlist": "1,1,2"},
+    {"game": ashg.serialize_game(ashg.example_six_player(), default=-33), "part": "1 2\n3 4 5\n6\n",
+     "spec": "universe 1 2 3 4 5 6\nset 1 2 3\nset 4 5 6\nset 1 2 4\n", "weights": "2\n3\n7\n", "wlist": "2, 3,7"},
+]
+ROBUST_COMMANDS = [
+    ["solve-cis", "{game}"],
+    ["solve-cis", "{game}", "--trace", "--seed", "3"],
+    *(["verify", "{game}", "{part}", "--concept", c.value] for c in ashg.StabilityConcept),
+    ["search", "{game}", "--concept", "core"],
+    ["search", "{game}", "--concept", "strict-core"],
+    ["gen", "e3c", "--spec", "{spec}"],
+    ["oracle", "e3c", "--spec", "{spec}"],
+    ["gen", "partition", "--weights-file", "{weights}"],
+    ["oracle", "partition", "--weights-file", "{weights}"],
+    ["gen", "partition", "-w", "{wlist}"],
+    ["oracle", "partition", "-w", "{wlist}"],
+]
+# whitespace that str.split or str.splitlines knows but a space-separated format may not, plus look-alikes
+ODD_SPACES = ["\u00a0", "\u2028", "\u2029", "\u3000", "\x0b", "\x0c", "\x1c", "\x85", "\u200b", "\ufeff", "\t", "\r"]
+LONG_TOKENS = st.builds(
+    lambda head, char, width, tail: head + char * width + tail,
+    st.sampled_from(["", "-", "+", "1/", "p"]),
+    st.sampled_from("790x"),
+    st.sampled_from([4299, 4300, 4301, 20000]),
+    st.sampled_from(["", "/3", "/", "a"]),
+)
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with a few over-long tokens, odd whitespace and empty lines put in."""
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["long", "space", "empty"]))
+        if kind == "empty":
+            lines.insert(k, draw(st.sampled_from(["", " ", *ODD_SPACES])))
+            continue
+        tokens = lines[k].split(" ")
+        t = draw(st.integers(0, len(tokens) - 1))
+        if kind == "long":
+            tokens[t] = draw(LONG_TOKENS)
+        else:
+            cut = draw(st.integers(0, len(tokens[t])))
+            tokens[t] = tokens[t][:cut] + draw(st.sampled_from(ODD_SPACES)) + tokens[t][cut:]
+        lines[k] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+@given(data=st.data(), base=st.sampled_from(ROBUST_BASES), command=st.sampled_from(ROBUST_COMMANDS))
+@settings(max_examples=150, deadline=None)
+def test_mangled_inputs_give_an_exit_code_and_no_traceback(data, base, command):
+    """Any mangled game, partition, spec or weight text ends in exit 0, 1 or 2, and an
+    error (exit 1) is reported on stderr, never as an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {}
+        for name, text in base.items():
+            if "{" + name + "}" in command:
+                text = data.draw(mutated(text), label=name)
+                if name == "wlist":
+                    names[name] = text
+                else:
+                    names[name] = os.path.join(tmp, name)
+                    Path(names[name]).write_text(text, encoding="utf-8")
+        argv = [names[a[1:-1]] if a[1:-1] in names else a for a in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith(("error:", "usage:")), err.getvalue()[:300]

@@ -128,7 +128,7 @@ def bounded_walk(game, pi, order):
     rows = [[dense[p][q] for q in order] for p in order]
     cur = [int_utility(game, p, pi.block_of(p)) for p in order]
     block = [pi.blocks.index(pi.block_of(p)) for p in order]
-    found = _first_coalition(rows, _tables(rows), cur, lambda m, have: any(have[p] > cur[p] for p in m), block)
+    found = _first_coalition(rows, _tables(rows), cur, False, block)
     return None if found is None else frozenset(order[p] for p in found[0])
 
 
@@ -233,8 +233,9 @@ def test_walks_leave_no_cyclic_garbage():
     six = ashg.example_six_player()
     rows = dense_rows(six)
 
-    def refuse(members, have):
-        raise RuntimeError("refused")
+    class Refusing(int):  # a current utility whose comparison at a leaf raises
+        def __lt__(self, other):
+            raise RuntimeError("refused")
 
     gc.collect()
     gc.disable()
@@ -243,7 +244,7 @@ def test_walks_leave_no_cyclic_garbage():
         assert ashg.find_csc_violation(no.game, no_grand) is None  # the feasibility phase alone
         assert ashg.core_exists(six) is None and ashg.core_exists(six, strict=True) is None
         with pytest.raises(RuntimeError):
-            _first_coalition(rows, _tables(rows), [0] * six.n, refuse)
+            _first_coalition(rows, _tables(rows), [Refusing()] * six.n, False)
         garbage = gc.collect()
     finally:
         gc.enable()

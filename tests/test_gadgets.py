@@ -323,13 +323,35 @@ class TestReductionProperties:
     @pytest.mark.parametrize(
         "triples, has_cover", [([], False), ([("a", "b", "c")], True)], ids=["no-cover-18", "cover-19"]
     )
-    def test_strict_core_nonempty_exactly_on_covers(self, monkeypatch, triples, has_cover):
-        # both directions of the reduction, by exhaustive partition search
+    def test_strict_core_nonempty_exactly_on_covers_with_3_elements(self, monkeypatch, triples, has_cover):
+        # both directions of the reduction at |R| = 3, by exhaustive partition search; at most one
+        # triple fits, so no cover leaves a triple out
         monkeypatch.setattr(ashg.stability, "PARTITION_CAP", 19)
         inst = e3c("abc", triples)
         assert (ashg.solve_e3c(inst) is not None) is has_cover
         found = ashg.core_exists(ashg.reduce_e3c(inst).game, strict=True)
         assert (found is not None) is has_cover
+
+    def test_witness_is_core_stable_but_weakly_blocked_by_a_triple_left_out(self, monkeypatch):
+        # |R| = 6: the cover (0, 1) leaves "ade" out; its hub gains with x6_a, x6_d and x6_e,
+        # who do exactly as well there as in their chosen hubs' blocks
+        monkeypatch.setattr(ashg.stability, "SUBSET_CAP", 39)
+        inst = e3c("abcdef", ["abc", "def", "ade"])
+        assert ashg.solve_e3c(inst) == (0, 1)
+        gadget = ashg.reduce_e3c(inst)
+        game, pi = gadget.game, ashg.witness_partition_e3c(gadget, (0, 1))
+        assert game.n == 39
+        assert ashg.find_strongly_blocking(game, pi) is None
+        w = ashg.find_weakly_blocking(game, pi)
+
+        def names(players):
+            return {game.labels[p] for p in players}
+
+        assert (names(w.coalition), w.kind, names(w.strictly_better)) == (
+            {"y_2", "x6_a", "x6_d", "x6_e"},
+            "weak",
+            {"y_2"},
+        )
 
     def test_split_equivalence_small(self):
         for weights in itertools.product(range(1, 5), repeat=3):
