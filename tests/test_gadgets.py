@@ -323,7 +323,7 @@ class TestReductionProperties:
     @pytest.mark.parametrize(
         "triples, has_cover", [([], False), ([("a", "b", "c")], True)], ids=["no-cover-18", "cover-19"]
     )
-    def test_strict_core_nonempty_exactly_on_covers_with_3_elements(self, monkeypatch, triples, has_cover):
+    def test_strict_core_nonempty_exactly_on_covers(self, monkeypatch, triples, has_cover):
         # both directions of the reduction at |R| = 3, by exhaustive partition search; at most one
         # triple fits, so no cover leaves a triple out
         monkeypatch.setattr(ashg.stability, "PARTITION_CAP", 19)
