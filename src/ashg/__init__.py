@@ -1,6 +1,6 @@
 """Additively separable hedonic games: exact stability analysis toolkit."""
 
-from .cis import CisTrace, compute_cis, replay_trace, serialize_trace
+from .cis import CisTrace, TraceStep, compute_cis, replay_trace, serialize_trace
 from .errors import (
     AshgError,
     DuplicatePlayer,

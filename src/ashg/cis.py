@@ -8,6 +8,11 @@ leader and its helpers). After either step, remaining players that the
 current coalition unanimously tolerates and someone strictly likes are
 absorbed one by one (needed players).
 
+Each placement is recorded as one ``TraceStep(kind, coalition, players)``,
+kind ``leader``, ``helpers``, ``needed`` or ``latecomer``, into the 1-based
+coalition ``coalition``. ``replay_trace`` rebuilds the partition from the
+steps and raises ``InconsistentTrace`` on any step it cannot apply.
+
 The pick order is the remaining player with the lowest index by default, or
 a seeded shuffle. The output is meant to be contractually individually
 stable, but some orders give a partition that is not: the ``bug6`` game of
@@ -26,42 +31,29 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import EmptyGame, InconsistentTrace
 from .game import Game, Partition
 
-
-@dataclass(frozen=True)
-class LeaderChosen:
-    player: int
-    coalition: int  # 1-based creation index
+KINDS = ("leader", "helpers", "needed", "latecomer")
 
 
-@dataclass(frozen=True)
-class HelpersAdded:
+class TraceStep(NamedTuple):
+    """One construction step: ``players`` join coalition ``coalition`` (1-based creation index).
+
+    ``kind`` is one of ``KINDS``; a ``leader`` step founds the coalition. Every
+    kind but ``helpers`` places exactly one player.
+    """
+
+    kind: str
     coalition: int
     players: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class NeededAdded:
-    player: int
-    coalition: int
-
-
-@dataclass(frozen=True)
-class LatecomerJoined:
-    player: int
-    coalition: int
-
-
-TraceEvent = Union[LeaderChosen, HelpersAdded, NeededAdded, LatecomerJoined]
-
-
-@dataclass(frozen=True)
 class CisTrace:
-    steps: Tuple[TraceEvent, ...]
+    steps: Tuple[TraceStep, ...]
 
 
 def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisTrace]:
@@ -76,7 +68,7 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
 
     home = [-1] * n  # coalition index of each placed player; -1 = still in the pool
     vetoes: List[set] = []  # per coalition: every player some member dislikes
-    steps: List[TraceEvent] = []
+    steps: List[TraceStep] = []
 
     for a in priority:
         if home[a] >= 0:
@@ -101,14 +93,14 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
                 z = k
         if z >= 0:
             newcomers = [a]
-            steps.append(LatecomerJoined(a, z + 1))
+            steps.append(TraceStep("latecomer", z + 1, (a,)))
         else:
             z = len(vetoes)
             vetoes.append(set())
             newcomers = [a] + pool_friends
-            steps.append(LeaderChosen(a, z + 1))
+            steps.append(TraceStep("leader", z + 1, (a,)))
             if pool_friends:
-                steps.append(HelpersAdded(z + 1, tuple(pool_friends)))
+                steps.append(TraceStep("helpers", z + 1, tuple(pool_friends)))
         # absorb needed players: unanimously tolerated, strictly liked by someone.
         # A joining member vetoes everyone it dislikes and queues every unplaced,
         # unvetoed player it likes. A veto is never lifted, so the first queued
@@ -128,7 +120,7 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
                 b = heappop(ready)
                 if home[b] < 0 and b not in veto:
                     newcomers = [b]
-                    steps.append(NeededAdded(b, z + 1))
+                    steps.append(TraceStep("needed", z + 1, (b,)))
 
     blocks: List[List[int]] = [[] for _ in vetoes]
     for p, k in enumerate(home):
@@ -141,56 +133,36 @@ def replay_trace(game: Game, trace: CisTrace) -> Partition:
     n = game.n
     coalitions: List[set] = []
     placed = set()
-
-    def place(player: int) -> None:
-        if not isinstance(player, int) or not 0 <= player < n:
-            raise InconsistentTrace(f"unknown player in trace: {player!r}")
-        if player in placed:
-            raise InconsistentTrace(f"player {player} placed twice")
-        placed.add(player)
-
-    def existing(k: int) -> set:
-        if not 1 <= k <= len(coalitions):
-            raise InconsistentTrace(f"trace references coalition {k} before creation")
-        return coalitions[k - 1]
-
     for step in trace.steps:
-        if isinstance(step, LeaderChosen):
-            if step.coalition != len(coalitions) + 1:
-                raise InconsistentTrace(
-                    f"leader creates coalition {step.coalition}, expected {len(coalitions) + 1}"
-                )
-            place(step.player)
-            coalitions.append({step.player})
-        elif isinstance(step, HelpersAdded):
-            members = existing(step.coalition)
-            for p in step.players:
-                place(p)
-                members.add(p)
-        elif isinstance(step, (NeededAdded, LatecomerJoined)):
-            members = existing(step.coalition)
-            place(step.player)
-            members.add(step.player)
-        else:
+        if not isinstance(step, TraceStep) or step.kind not in KINDS:
             raise InconsistentTrace(f"unknown trace event: {step!r}")
+        kind, k, players = step
+        if not isinstance(k, int) or not isinstance(players, tuple) or (kind != "helpers" and len(players) != 1):
+            raise InconsistentTrace(f"malformed trace step: {step!r}")
+        if kind == "leader":
+            if k != len(coalitions) + 1:
+                raise InconsistentTrace(f"leader creates coalition {k}, expected {len(coalitions) + 1}")
+            coalitions.append(set())
+        elif not 1 <= k <= len(coalitions):
+            raise InconsistentTrace(f"trace references coalition {k} before creation")
+        for p in players:
+            if not isinstance(p, int) or not 0 <= p < n:
+                raise InconsistentTrace(f"unknown player in trace: {p!r}")
+            if p in placed:
+                raise InconsistentTrace(f"player {p} placed twice")
+            placed.add(p)
+            coalitions[k - 1].add(p)
 
-    if placed != set(range(n)):
+    if len(placed) != n:
         missing = sorted(set(range(n)) - placed)
         raise InconsistentTrace(f"trace leaves players unplaced: {missing}")
     return Partition(coalitions)
 
 
 def serialize_trace(game: Game, trace: CisTrace) -> str:
-    """One event per line, players rendered by label."""
+    """One step per line, players by label: ``helpers <k> <labels>``, else ``<kind> <label> <k>``."""
     lines = []
-    for step in trace.steps:
-        if isinstance(step, LeaderChosen):
-            lines.append(f"leader {game.label(step.player)} {step.coalition}")
-        elif isinstance(step, HelpersAdded):
-            labs = " ".join(game.label(p) for p in step.players)
-            lines.append(f"helpers {step.coalition} {labs}")
-        elif isinstance(step, NeededAdded):
-            lines.append(f"needed {game.label(step.player)} {step.coalition}")
-        elif isinstance(step, LatecomerJoined):
-            lines.append(f"latecomer {game.label(step.player)} {step.coalition}")
+    for kind, k, players in trace.steps:
+        labs = " ".join(game.label(p) for p in players)
+        lines.append(f"helpers {k} {labs}" if kind == "helpers" else f"{kind} {labs} {k}")
     return "\n".join(lines) + "\n"

@@ -100,7 +100,10 @@ def serialize_game(game: Game, default: Optional[Rational] = None) -> str:
     lines = ["players " + " ".join(labels)]
     base = 0 if default is None else _as_rational(default)
     if default is not None:
-        lines.append(f"default {base}")
+        try:  # as below, str() refuses an int past int()'s digit limit
+            lines.append(f"default {base}")
+        except ValueError:
+            raise AshgError("default too long to write") from None
     elided = base * scale  # no scaled int equals it unless it is whole
     elided = elided.numerator if elided.denominator == 1 else None
     for i, row in enumerate(game.rows):

@@ -11,8 +11,8 @@ Three constructions:
   coalition is contractual-strict-core stable (and Pareto optimal) exactly
   when the weights cannot be split into two equal halves.
 
-The oracles solve the source problems directly by exhaustive search and are
-independent of the game-side verifiers.
+The oracles solve the source problems directly, by exhaustive search (meet in
+the middle for PARTITION), and are independent of the game-side verifiers.
 """
 
 from __future__ import annotations
@@ -234,25 +234,25 @@ def witness_partition_split(gadget: GadgetGame, first_half: Iterable[int]) -> Pa
 
 
 def solve_partition(inst: PartitionInstance) -> Optional[Tuple[int, ...]]:
-    """First weight subset (ascending mask order) summing to half the total, if any."""
+    """First weight subset (ascending mask order) summing to half the total, if any.
+
+    Meet in the middle (Horowitz and Sahni 1974): the smallest low-half mask of each sum,
+    then the high-half masks in ascending order, so the first hit is the smallest full mask."""
     k = len(inst.weights)
     if k > PARTITION_ORACLE_CAP:
         raise TooLarge(k, PARTITION_ORACLE_CAP)
-    total = inst.total
+    total, h = inst.total, k // 2
     if total % 2 != 0:
         return None
-    target = total // 2
-    weights = inst.weights
-    for mask in range(1 << k):
-        s = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                s += weights[i]
-            m >>= 1
-            i += 1
-        if s == target:
+    sums = ([0], [0])  # per half, the subset sum of each mask; bit i takes the half's i-th weight
+    for half, weights in zip(sums, (inst.weights[:h], inst.weights[h:])):
+        for w in weights:
+            half += [s + w for s in half]
+    first = {s: mask for mask, s in reversed(list(enumerate(sums[0])))}  # the smallest mask wins
+    for high, s in enumerate(sums[1]):
+        low = first.get(total // 2 - s)
+        if low is not None:
+            mask = low | high << h
             return tuple(i for i in range(k) if mask >> i & 1)
     return None
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import strategies as st
 
 import ashg
-from ashg.cis import CisTrace, HelpersAdded, LatecomerJoined, LeaderChosen, NeededAdded
+from ashg.cis import CisTrace, TraceStep
 from ashg.errors import EmptyGame, GameFormatError
 from ashg.stability import DeviationMove
 
@@ -226,15 +226,15 @@ def reference_cis(game: ashg.Game, seed=None):
         if z >= 0:
             coalitions[z].add(a)
             remaining.discard(a)
-            steps.append(LatecomerJoined(a, z + 1))
+            steps.append(TraceStep("latecomer", z + 1, (a,)))
         else:
             z = len(coalitions)
             members = {a} | set(pool_friends)
             coalitions.append(members)
             remaining -= members
-            steps.append(LeaderChosen(a, z + 1))
+            steps.append(TraceStep("leader", z + 1, (a,)))
             if pool_friends:
-                steps.append(HelpersAdded(z + 1, tuple(sorted(pool_friends))))
+                steps.append(TraceStep("helpers", z + 1, tuple(sorted(pool_friends))))
         # absorb needed players: unanimously tolerated, strictly liked by someone
         members = coalitions[z]
         while True:
@@ -249,7 +249,7 @@ def reference_cis(game: ashg.Game, seed=None):
                 break
             remaining.discard(absorbed)
             members.add(absorbed)
-            steps.append(NeededAdded(absorbed, z + 1))
+            steps.append(TraceStep("needed", z + 1, (absorbed,)))
 
     return ashg.Partition(coalitions), CisTrace(tuple(steps))
 
@@ -265,6 +265,27 @@ def brute_solve_partition(weights):
                 if best is None or sorted(combo) < sorted(best):
                     best = combo
     return best if best is None else tuple(sorted(best))
+
+
+def reference_solve_partition(weights):
+    """The smallest mask whose weights sum to half the total, trying every mask in ascending order."""
+    k = len(weights)
+    total = sum(weights)
+    if total % 2 != 0:
+        return None
+    target = total // 2
+    for mask in range(1 << k):
+        s = 0
+        m = mask
+        i = 0
+        while m:
+            if m & 1:
+                s += weights[i]
+            m >>= 1
+            i += 1
+        if s == target:
+            return tuple(i for i in range(k) if mask >> i & 1)
+    return None
 
 
 _REFERENCE_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")

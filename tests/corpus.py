@@ -1,6 +1,6 @@
 """Byte-identity corpus: seeded inputs for every CLI command and the digest of each output.
 
-Each case runs ``ashg.cli.main`` in-process on files in one scratch directory
+Each case runs ``ashg.cli.main`` in-process on files in one temporary directory
 (relative paths, so no output names the directory) and is summarized by the
 SHA-256 of its (exit code, stdout, stderr). ``corpus_digests.json`` holds the
 digest of every case, keyed by case name; ``tests/test_corpus.py`` checks

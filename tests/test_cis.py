@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ashg
-from ashg.cis import HelpersAdded, LatecomerJoined, LeaderChosen, NeededAdded
+from ashg.cis import KINDS, TraceStep
 from ashg.errors import InconsistentTrace
 
 from conftest import random_game, random_rational_rows, reference_cis, sparse_game
@@ -26,15 +26,15 @@ class TestComputeCis:
             frozenset("4"),
         }
         # leader 1 takes helpers {2,3,5,6}; 4 is barred and founds a singleton
-        assert trace.steps[0] == LeaderChosen(0, 1)
-        assert trace.steps[1] == HelpersAdded(1, (1, 2, 4, 5))
-        assert trace.steps[2] == LeaderChosen(3, 2)
+        assert trace.steps[0] == TraceStep("leader", 1, (0,))
+        assert trace.steps[1] == TraceStep("helpers", 1, (1, 2, 4, 5))
+        assert trace.steps[2] == TraceStep("leader", 2, (3,))
 
     def test_all_zero_game_gives_singletons(self):
         g = ashg.Game(["a", "b", "c"])
         part, trace = ashg.compute_cis(g)
         assert part == ashg.Partition.singletons(3)
-        assert all(isinstance(s, LeaderChosen) for s in trace.steps)
+        assert all(s.kind == "leader" for s in trace.steps)
 
     def test_split_gadget(self, split_gadget_112):
         gadget, _ = split_gadget_112
@@ -50,14 +50,14 @@ class TestComputeCis:
         g = ashg.Game(["a", "b", "c"], {("a", "b"): 1, ("b", "a"): 1, ("c", "a"): 1, ("c", "b"): 1})
         part, trace = ashg.compute_cis(g)
         assert part == ashg.Partition.grand(3)
-        assert LatecomerJoined(2, 1) in trace.steps
+        assert TraceStep("latecomer", 1, (2,)) in trace.steps
 
     def test_needed_player_absorption(self):
         # b is the leader's helper; c is liked by b and tolerated by a
         g = ashg.Game(["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 1})
         part, trace = ashg.compute_cis(g)
         assert part == ashg.Partition.grand(3)
-        assert NeededAdded(2, 1) in trace.steps
+        assert TraceStep("needed", 1, (2,)) in trace.steps
 
     def test_nonir_output_regression(self, example6):
         # player 2 ends at 6 + 5 - 33 - 33 inside the leader's coalition
@@ -90,30 +90,49 @@ class TestTraceReplay:
 
     def test_one_player_trace(self):
         g = ashg.Game(["p"])
-        trace = ashg.CisTrace((LeaderChosen(0, 1),))
+        trace = ashg.CisTrace((TraceStep("leader", 1, (0,)),))
         assert ashg.replay_trace(g, trace) == ashg.Partition.grand(1)
 
     def test_unknown_player(self):
         g = ashg.Game(["p"])
         with pytest.raises(InconsistentTrace):
-            ashg.replay_trace(g, ashg.CisTrace((LeaderChosen(5, 1),)))
+            ashg.replay_trace(g, ashg.CisTrace((TraceStep("leader", 1, (5,)),)))
 
     def test_player_placed_twice(self):
         g = ashg.Game(["a", "b"])
-        trace = ashg.CisTrace((LeaderChosen(0, 1), NeededAdded(0, 1)))
+        trace = ashg.CisTrace((TraceStep("leader", 1, (0,)), TraceStep("needed", 1, (0,))))
         with pytest.raises(InconsistentTrace):
             ashg.replay_trace(g, trace)
 
     def test_wrong_coalition_number(self):
         g = ashg.Game(["a", "b"])
-        trace = ashg.CisTrace((LeaderChosen(0, 2),))
+        trace = ashg.CisTrace((TraceStep("leader", 2, (0,)),))
         with pytest.raises(InconsistentTrace):
             ashg.replay_trace(g, trace)
 
     def test_unplaced_players(self):
         g = ashg.Game(["a", "b"])
         with pytest.raises(InconsistentTrace):
-            ashg.replay_trace(g, ashg.CisTrace((LeaderChosen(0, 1),)))
+            ashg.replay_trace(g, ashg.CisTrace((TraceStep("leader", 1, (0,)),)))
+
+    @pytest.mark.parametrize("step", [
+        ("leader", 1, (1,)),                    # a plain tuple, not a TraceStep
+        5,
+        TraceStep("founder", 1, (1,)),         # an unknown kind
+        TraceStep("helpers", "1", (1,)),       # a coalition that is not an int
+        TraceStep("needed", 1.0, (1,)),
+        TraceStep("helpers", 1, 5),            # players that are not a tuple
+        TraceStep("needed", 1, [1]),
+        TraceStep("needed", 1, ()),            # not one player outside helpers
+        TraceStep("latecomer", 1, (1, 2)),
+        TraceStep("needed", 1, (1.0,)),        # a player that is not an int
+    ], ids=["plain-tuple", "not-a-step", "unknown-kind", "str-coalition", "float-coalition",
+            "int-players", "list-players", "no-player", "two-players", "float-player"])
+    def test_malformed_step_is_an_inconsistent_trace(self, step):
+        g = ashg.Game(["a", "b", "c"])
+        trace = ashg.CisTrace((TraceStep("leader", 1, (0,)), step))
+        with pytest.raises(InconsistentTrace):
+            ashg.replay_trace(g, trace)
 
     def test_serialized_trace_lines(self, example6):
         _, trace = ashg.compute_cis(example6)
@@ -121,6 +140,28 @@ class TestTraceReplay:
         assert lines[0] == "leader 1 1"
         assert lines[1] == "helpers 1 2 3 5 6"
         assert lines[2] == "leader 4 2"
+
+
+FIELDS = st.one_of(st.integers(-1, 6), st.booleans(), st.none(), st.floats(0, 6), st.text(max_size=2))
+STEPS = st.one_of(
+    st.builds(TraceStep, st.sampled_from(KINDS) | st.text(max_size=9), st.integers(0, 6) | FIELDS,
+              st.lists(st.integers(-1, 6) | FIELDS, max_size=3).map(tuple) | FIELDS),
+    st.tuples(st.sampled_from(KINDS), st.integers(1, 3), st.tuples(st.integers(0, 4))),
+)
+
+
+@given(data=st.data(), n=st.integers(1, 5), game_seed=st.integers(0, 99), seed=st.none() | st.integers(0, 99))
+@settings(max_examples=300, deadline=None)
+def test_replay_returns_a_partition_or_an_inconsistent_trace(data, n, game_seed, seed):
+    """A valid trace prefix followed by arbitrary steps replays or fails as an input error."""
+    game = random_game(random.Random(game_seed), n)
+    valid = ashg.compute_cis(game, seed=seed)[1].steps
+    steps = valid[:data.draw(st.integers(0, len(valid)))] + tuple(data.draw(st.lists(STEPS, max_size=4)))
+    try:
+        part = ashg.replay_trace(game, ashg.CisTrace(steps))
+    except InconsistentTrace:
+        return
+    assert sorted(p for b in part.blocks for p in b) == list(range(n))
 
 
 def check_role_conditions(game, trace, seed=None):
@@ -149,41 +190,44 @@ def check_role_conditions(game, trace, seed=None):
                 return j
         return None
 
-    for step in trace.steps:
+    for kind, k, players in trace.steps:
         remaining = set(range(n)) - placed
-        if isinstance(step, (LeaderChosen, LatecomerJoined)):
+        if kind != "helpers":
+            assert len(players) == 1
+        if kind in ("leader", "latecomer"):
             if absorbing is not None:
                 assert first_admitted(absorbing) is None
-            assert step.player == next(p for p in order if p not in placed)
-        if isinstance(step, LeaderChosen):
-            coalitions.append({step.player})
-            leader_of[step.coalition] = step.player
-            placed.add(step.player)
+            assert players[0] == next(p for p in order if p not in placed)
+        if kind == "leader":
+            coalitions.append(set(players))
+            leader_of[k] = players[0]
+            placed.update(players)
             absorbing = coalitions[-1]
-        elif isinstance(step, HelpersAdded):
-            leader = leader_of[step.coalition]
-            for p in step.players:
+        elif kind == "helpers":
+            leader = leader_of[k]
+            for p in players:
                 assert rows[leader][p] > 0  # helpers are strictly liked
-                coalitions[step.coalition - 1].add(p)
+                coalitions[k - 1].add(p)
                 placed.add(p)
-        elif isinstance(step, NeededAdded):
-            members = coalitions[step.coalition - 1]
+        elif kind == "needed":
+            (p,) = players
+            members = coalitions[k - 1]
             assert members is absorbing
-            assert all(rows[i][step.player] >= 0 for i in members)
-            assert any(rows[i][step.player] > 0 for i in members)
-            assert step.player == first_admitted(members)
-            members.add(step.player)
-            placed.add(step.player)
-        elif isinstance(step, LatecomerJoined):
-            members = coalitions[step.coalition - 1]
-            assert all(rows[i][step.player] == 0 for i in members)
-            pool_best = sum(
-                rows[step.player][b] for b in remaining if rows[step.player][b] > 0
-            )
-            joined = sum(rows[step.player][b] for b in members)
+            assert all(rows[i][p] >= 0 for i in members)
+            assert any(rows[i][p] > 0 for i in members)
+            assert p == first_admitted(members)
+            members.add(p)
+            placed.add(p)
+        else:
+            assert kind == "latecomer"
+            (p,) = players
+            members = coalitions[k - 1]
+            assert all(rows[i][p] == 0 for i in members)
+            pool_best = sum(rows[p][b] for b in remaining if rows[p][b] > 0)
+            joined = sum(rows[p][b] for b in members)
             assert joined > pool_best
-            members.add(step.player)
-            placed.add(step.player)
+            members.add(p)
+            placed.add(p)
             absorbing = members
     if absorbing is not None:
         assert first_admitted(absorbing) is None

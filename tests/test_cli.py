@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,11 @@ class TestLongIntegers:
         assert main(["gen", "partition", "-w", weights]) == 1
         assert capsys.readouterr() == ("", "error: value of x1 for x2 too long to write\n")
         assert main(["oracle", "partition", "-w", weights]) == 2
+
+    @pytest.mark.parametrize("default", [10 ** INT_DIGITS, Fraction(1, 10 ** INT_DIGITS)], ids=["int", "fraction"])
+    def test_a_default_past_the_limit_is_not_written(self, default):
+        with pytest.raises(ashg.AshgError, match="^default too long to write$"):
+            ashg.serialize_game(ashg.Game(["a", "b"]), default=default)
 
     def test_seed_is_a_usage_error_that_does_not_echo_it(self, capsys, ex6_file):
         assert main(["solve-cis", ex6_file, "--seed", self.LONG]) == 1

@@ -12,7 +12,7 @@ import ashg
 from ashg import StabilityConcept as C
 from ashg.errors import InvalidInstance, NotACover, NotAnEqualSplit, TooLarge
 
-from conftest import TOKENS, brute_solve_partition
+from conftest import TOKENS, brute_solve_partition, reference_solve_partition
 
 
 def e3c(universe, triples):
@@ -216,6 +216,20 @@ class TestSolvePartition:
             assert (got is None) == (brute_solve_partition(weights) is None)
             if got is not None:
                 assert 2 * sum(weights[i] for i in got) == sum(weights)
+
+
+SMALL_WEIGHTS = st.integers(1, 12)
+WEIGHT_LISTS = st.one_of(
+    st.lists(SMALL_WEIGHTS, max_size=12),
+    st.lists(SMALL_WEIGHTS, max_size=12).map(lambda ws: [w + 10**39 for w in ws]),  # 40 digits, splits common
+    st.lists(SMALL_WEIGHTS | st.integers(10**39, 10**40 - 1), max_size=12),
+)
+
+
+@given(weights=WEIGHT_LISTS)
+@settings(max_examples=300, deadline=None)
+def test_solve_partition_finds_the_smallest_mask(weights):
+    assert ashg.solve_partition(ashg.PartitionInstance(tuple(weights))) == reference_solve_partition(weights)
 
 
 class TestParseE3C:

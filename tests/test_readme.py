@@ -8,6 +8,7 @@ import re
 import shlex
 from pathlib import Path
 
+import ashg
 from ashg.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -40,3 +41,8 @@ def test_cli_examples_exit_as_documented(tmp_path, monkeypatch):
         assert main(argv) == EXIT_CODES[argv[0]], argv
     assert (tmp_path / "g.game.partition").exists() and (tmp_path / "cov.game").exists()
     assert (tmp_path / "t.txt").read_text().startswith("leader ")
+
+
+def test_trace_example_is_the_hexagon_trace():
+    game = ashg.example_six_player()
+    assert fenced_block("Trace format", "text") == ashg.serialize_trace(game, ashg.compute_cis(game)[1])
