@@ -10,8 +10,9 @@ absorbed one by one (needed players).
 
 Each placement is recorded as one ``TraceStep(kind, coalition, players)``,
 kind ``leader``, ``helpers``, ``needed`` or ``latecomer``, into the 1-based
-coalition ``coalition``. ``replay_trace`` rebuilds the partition from the
-steps and raises ``InconsistentTrace`` on any step it cannot apply.
+coalition ``coalition``; the trace is the tuple of these steps.
+``replay_trace`` rebuilds the partition from that tuple and raises
+``InconsistentTrace`` on any step it cannot apply.
 
 The pick order is the remaining player with the lowest index by default, or
 a seeded shuffle. The output is meant to be contractually individually
@@ -29,11 +30,10 @@ values. No step reads a dense row or rescans the pool or a coalition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import List, NamedTuple, Optional, Tuple
 
-from .errors import EmptyGame, InconsistentTrace
+from .errors import InconsistentTrace
 from .game import Game, Partition
 
 KINDS = ("leader", "helpers", "needed", "latecomer")
@@ -51,16 +51,9 @@ class TraceStep(NamedTuple):
     players: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CisTrace:
-    steps: Tuple[TraceStep, ...]
-
-
-def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisTrace]:
-    """Build a CIS partition; ``seed=None`` picks lowest-index players first."""
+def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, Tuple[TraceStep, ...]]:
+    """Build a CIS partition and its trace; ``seed=None`` picks lowest-index players first."""
     n = game.n
-    if n == 0:
-        raise EmptyGame()
     rows = game.rows
     priority = list(range(n))
     if seed is not None:
@@ -125,19 +118,21 @@ def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, CisT
     blocks: List[List[int]] = [[] for _ in vetoes]
     for p, k in enumerate(home):
         blocks[k].append(p)
-    return Partition(blocks), CisTrace(tuple(steps))
+    return Partition(blocks), tuple(steps)
 
 
-def replay_trace(game: Game, trace: CisTrace) -> Partition:
-    """Reconstruct the partition a trace describes, checking its consistency."""
+def replay_trace(game: Game, trace: Tuple[TraceStep, ...]) -> Partition:
+    """Reconstruct the partition a trace (a tuple of steps) describes, checking its consistency."""
+    if not isinstance(trace, tuple):
+        raise InconsistentTrace(f"a trace is a tuple of steps, not {type(trace).__name__}")
     n = game.n
     coalitions: List[set] = []
     placed = set()
-    for step in trace.steps:
+    for step in trace:
         if not isinstance(step, TraceStep) or step.kind not in KINDS:
             raise InconsistentTrace(f"unknown trace event: {step!r}")
         kind, k, players = step
-        if not isinstance(k, int) or not isinstance(players, tuple) or (kind != "helpers" and len(players) != 1):
+        if type(k) is not int or not isinstance(players, tuple) or (kind != "helpers" and len(players) != 1):
             raise InconsistentTrace(f"malformed trace step: {step!r}")
         if kind == "leader":
             if k != len(coalitions) + 1:
@@ -146,7 +141,7 @@ def replay_trace(game: Game, trace: CisTrace) -> Partition:
         elif not 1 <= k <= len(coalitions):
             raise InconsistentTrace(f"trace references coalition {k} before creation")
         for p in players:
-            if not isinstance(p, int) or not 0 <= p < n:
+            if type(p) is not int or not 0 <= p < n:
                 raise InconsistentTrace(f"unknown player in trace: {p!r}")
             if p in placed:
                 raise InconsistentTrace(f"player {p} placed twice")
@@ -159,10 +154,10 @@ def replay_trace(game: Game, trace: CisTrace) -> Partition:
     return Partition(coalitions)
 
 
-def serialize_trace(game: Game, trace: CisTrace) -> str:
+def serialize_trace(game: Game, trace: Tuple[TraceStep, ...]) -> str:
     """One step per line, players by label: ``helpers <k> <labels>``, else ``<kind> <label> <k>``."""
     lines = []
-    for kind, k, players in trace.steps:
+    for kind, k, players in trace:
         labs = " ".join(game.label(p) for p in players)
         lines.append(f"helpers {k} {labs}" if kind == "helpers" else f"{kind} {labs} {k}")
     return "\n".join(lines) + "\n"

@@ -25,7 +25,6 @@ from .gadgets import (
     solve_e3c,
     solve_partition,
 )
-from .game import Partition
 from .stability import (
     BlockingWitness,
     DeviationMove,
@@ -96,9 +95,7 @@ def _render_witness(game, witness) -> str:
         return f"move {game.labels[witness.player]} -> {labs}".rstrip()
     if isinstance(witness, BlockingWitness):
         return "blocking " + " ".join(game.labels[p] for p in sorted(witness.coalition))
-    if isinstance(witness, Partition):
-        return "pareto-dominating:\n" + serialize_partition(game, witness).rstrip()
-    raise AssertionError(f"unrenderable witness: {witness!r}")
+    return "pareto-dominating:\n" + serialize_partition(game, witness).rstrip()  # else a Partition
 
 
 def cmd_gen_example6(args) -> int:
@@ -116,13 +113,10 @@ def cmd_gen_partition(args) -> int:
     # game file plus the grand-coalition partition file
     gadget, grand = reduce_partition(_load_weights(args))
     _write(serialize_game(gadget.game, default=0), args.out)
-    partition_text = serialize_partition(gadget.game, grand)
-    if args.partition_out is not None:
-        _write(partition_text, args.partition_out)
-    elif args.out is not None:
-        _write(partition_text, args.out + ".partition")
-    else:
-        sys.stdout.write(partition_text)
+    path = args.partition_out
+    if path is None and args.out is not None:
+        path = args.out + ".partition"
+    _write(serialize_partition(gadget.game, grand), path)  # stdout when neither path is given
     return OK
 
 
@@ -139,13 +133,10 @@ def cmd_solve_cis(args) -> int:
     return OK
 
 
-_CONCEPTS = {c.value: c for c in StabilityConcept}
-
-
 def cmd_verify(args) -> int:
     game = parse_game(_read(args.game))
     partition = parse_partition(_read(args.partition), game)
-    verdict = verify(game, partition, _CONCEPTS[args.concept])
+    verdict = verify(game, partition, StabilityConcept(args.concept))
     if verdict.stable:
         print("stable")
         return OK
@@ -219,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a partition against a stability concept")
     p.add_argument("game")
     p.add_argument("partition")
-    p.add_argument("--concept", required=True, choices=sorted(_CONCEPTS))
+    p.add_argument("--concept", required=True, choices=sorted(c.value for c in StabilityConcept))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exhaustively search for a stable partition")

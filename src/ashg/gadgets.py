@@ -43,6 +43,11 @@ _HEXAGON_EDGES = (
 )
 
 
+def _put(values: dict, a: str, b: str, w) -> None:
+    """Give the pair of ``a`` and ``b`` the value ``w`` in both directions."""
+    values[(a, b)] = values[(b, a)] = w
+
+
 @dataclass(frozen=True)
 class E3CInstance:
     """Exact-cover-by-3-sets source instance: universe R and 3-element triples.
@@ -84,7 +89,7 @@ class PartitionInstance:
     weights: Tuple[int, ...]
 
     def __post_init__(self):
-        if any(not isinstance(a, int) or a < 1 for a in self.weights):
+        if any(type(a) is not int or a < 1 for a in self.weights):  # a bool is no weight
             raise InvalidInstance("weights must be positive integers")
 
     @property
@@ -105,8 +110,7 @@ def example_six_player() -> Game:
     labels = [str(i) for i in range(1, 7)]
     values = {}
     for i, j, w in _HEXAGON_EDGES:
-        values[(str(i), str(j))] = w
-        values[(str(j), str(i))] = w
+        _put(values, str(i), str(j), w)
     return Game(labels, values, default=-33)
 
 
@@ -118,20 +122,15 @@ def reduce_e3c(inst: E3CInstance) -> GadgetGame:
     half = Fraction(1, 2)
     bonus = Fraction(41, 4)
     values = {}
-
-    def put(a, b, w):
-        values[(a, b)] = w
-        values[(b, a)] = w
-
     for r in inst.universe:
         for i, j, w in _HEXAGON_EDGES:
-            put(f"x{i}_{r}", f"x{j}_{r}", w)
+            _put(values, f"x{i}_{r}", f"x{j}_{r}", w)
     for k, s in enumerate(inst.triples):
         members = sorted(s)
         for a in range(3):
             for b in range(a + 1, 3):
-                put(f"x6_{members[a]}", f"x6_{members[b]}", half)
-            put(f"y_{k}", f"x6_{members[a]}", bonus)
+                _put(values, f"x6_{members[a]}", f"x6_{members[b]}", half)
+            _put(values, f"y_{k}", f"x6_{members[a]}", bonus)
 
     return GadgetGame(Game(labels, values, default=-33), inst)
 
@@ -206,10 +205,8 @@ def reduce_partition(inst: PartitionInstance) -> Tuple[GadgetGame, Partition]:
         values[(x, "y2")] = halfw
         for i, a in enumerate(inst.weights, start=1):
             values[(x, f"z{i}")] = a
-    values[("x1", "x2")] = -total
-    values[("x2", "x1")] = -total
-    values[("y1", "y2")] = -total
-    values[("y2", "y1")] = -total
+    _put(values, "x1", "x2", -total)
+    _put(values, "y1", "y2", -total)
     game = Game(labels, values, default=0)
     return GadgetGame(game, inst), Partition.grand(game.n)
 

@@ -2,10 +2,10 @@
 
 A game is a fixed ordered set of player labels together with a value
 ``v_i(j)`` for every ordered pair of players. Values are exact rationals,
-stored as sparse integer rows over one common positive scale; the self-value
-``v_i(i)`` is always zero, and all derived quantities (utilities,
-comparisons) are computed exactly. Players are addressed by dense 0-based
-index internally; labels exist for I/O.
+given as ``int`` or ``Fraction`` and stored as sparse integer rows over one
+common positive scale; the self-value ``v_i(i)`` is always zero, and all
+derived quantities (utilities, comparisons) are computed exactly. Players are
+addressed by dense 0-based ``int`` index internally; labels exist for I/O.
 
 Coalitions are frozensets of player indices; partitions keep their blocks in
 a canonical order (ascending smallest member) so that every downstream
@@ -37,12 +37,12 @@ _LABEL_RE = re.compile(r"[^\s#]+")
 
 
 def _as_rational(value) -> Rational:
-    """An int or a Fraction as given; other exact numbers converted; floats rejected."""
+    """An int or a Fraction as given; any other value, a bool included, is refused by its type."""
     if type(value) is int or type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise GameFormatError(f"floating-point value {value!r} rejected; use Fraction or int")
-    return Fraction(value)
+    raise GameFormatError(f"value of type {type(value).__name__} rejected; use Fraction or int")
 
 
 # Most off-diagonal cells a game may store when its unlisted pairs take a
@@ -156,7 +156,7 @@ class Game:
         return Fraction(self.rows[i].get(j, 0), self.scale)
 
     def _check_player(self, player) -> None:
-        if not isinstance(player, int) or not 0 <= player < self.n:
+        if type(player) is not int or not 0 <= player < self.n:  # a bool is not a player
             raise UnknownPlayer(player)
 
     def _check_members(self, members: Iterable[int]) -> None:

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import strategies as st
 
 import ashg
-from ashg.cis import CisTrace, TraceStep
-from ashg.errors import EmptyGame, GameFormatError
+from ashg.cis import TraceStep
+from ashg.errors import GameFormatError
 from ashg.stability import DeviationMove
 
 
@@ -197,8 +197,6 @@ def reference_cis(game: ashg.Game, seed=None):
     coalition.
     """
     n = game.n
-    if n == 0:
-        raise EmptyGame()
     rows = value_matrix(game)
     if seed is None:
         priority = list(range(n))
@@ -251,7 +249,7 @@ def reference_cis(game: ashg.Game, seed=None):
             members.add(absorbed)
             steps.append(TraceStep("needed", z + 1, (absorbed,)))
 
-    return ashg.Partition(coalitions), CisTrace(tuple(steps))
+    return ashg.Partition(coalitions), tuple(steps)
 
 
 def brute_solve_partition(weights):

@@ -26,15 +26,15 @@ class TestComputeCis:
             frozenset("4"),
         }
         # leader 1 takes helpers {2,3,5,6}; 4 is barred and founds a singleton
-        assert trace.steps[0] == TraceStep("leader", 1, (0,))
-        assert trace.steps[1] == TraceStep("helpers", 1, (1, 2, 4, 5))
-        assert trace.steps[2] == TraceStep("leader", 2, (3,))
+        assert trace[0] == TraceStep("leader", 1, (0,))
+        assert trace[1] == TraceStep("helpers", 1, (1, 2, 4, 5))
+        assert trace[2] == TraceStep("leader", 2, (3,))
 
     def test_all_zero_game_gives_singletons(self):
         g = ashg.Game(["a", "b", "c"])
         part, trace = ashg.compute_cis(g)
         assert part == ashg.Partition.singletons(3)
-        assert all(s.kind == "leader" for s in trace.steps)
+        assert all(s.kind == "leader" for s in trace)
 
     def test_split_gadget(self, split_gadget_112):
         gadget, _ = split_gadget_112
@@ -50,14 +50,14 @@ class TestComputeCis:
         g = ashg.Game(["a", "b", "c"], {("a", "b"): 1, ("b", "a"): 1, ("c", "a"): 1, ("c", "b"): 1})
         part, trace = ashg.compute_cis(g)
         assert part == ashg.Partition.grand(3)
-        assert TraceStep("latecomer", 1, (2,)) in trace.steps
+        assert TraceStep("latecomer", 1, (2,)) in trace
 
     def test_needed_player_absorption(self):
         # b is the leader's helper; c is liked by b and tolerated by a
         g = ashg.Game(["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 1})
         part, trace = ashg.compute_cis(g)
         assert part == ashg.Partition.grand(3)
-        assert TraceStep("needed", 1, (2,)) in trace.steps
+        assert TraceStep("needed", 1, (2,)) in trace
 
     def test_nonir_output_regression(self, example6):
         # player 2 ends at 6 + 5 - 33 - 33 inside the leader's coalition
@@ -90,30 +90,41 @@ class TestTraceReplay:
 
     def test_one_player_trace(self):
         g = ashg.Game(["p"])
-        trace = ashg.CisTrace((TraceStep("leader", 1, (0,)),))
+        trace = (TraceStep("leader", 1, (0,)),)
         assert ashg.replay_trace(g, trace) == ashg.Partition.grand(1)
 
     def test_unknown_player(self):
         g = ashg.Game(["p"])
         with pytest.raises(InconsistentTrace):
-            ashg.replay_trace(g, ashg.CisTrace((TraceStep("leader", 1, (5,)),)))
+            ashg.replay_trace(g, (TraceStep("leader", 1, (5,)),))
 
     def test_player_placed_twice(self):
         g = ashg.Game(["a", "b"])
-        trace = ashg.CisTrace((TraceStep("leader", 1, (0,)), TraceStep("needed", 1, (0,))))
+        trace = (TraceStep("leader", 1, (0,)), TraceStep("needed", 1, (0,)))
         with pytest.raises(InconsistentTrace):
             ashg.replay_trace(g, trace)
 
     def test_wrong_coalition_number(self):
         g = ashg.Game(["a", "b"])
-        trace = ashg.CisTrace((TraceStep("leader", 2, (0,)),))
+        trace = (TraceStep("leader", 2, (0,)),)
         with pytest.raises(InconsistentTrace):
             ashg.replay_trace(g, trace)
+
+    def test_step_into_a_coalition_not_yet_founded(self):
+        g = ashg.Game(["a", "b"])
+        trace = (TraceStep("leader", 1, (0,)), TraceStep("needed", 2, (1,)))
+        with pytest.raises(InconsistentTrace, match="coalition 2 before creation"):
+            ashg.replay_trace(g, trace)
+
+    @pytest.mark.parametrize("trace", [[TraceStep("leader", 1, (0,))], None], ids=["list", "none"])
+    def test_trace_that_is_not_a_tuple(self, trace):
+        with pytest.raises(InconsistentTrace, match="a trace is a tuple of steps"):
+            ashg.replay_trace(ashg.Game(["p"]), trace)
 
     def test_unplaced_players(self):
         g = ashg.Game(["a", "b"])
         with pytest.raises(InconsistentTrace):
-            ashg.replay_trace(g, ashg.CisTrace((TraceStep("leader", 1, (0,)),)))
+            ashg.replay_trace(g, (TraceStep("leader", 1, (0,)),))
 
     @pytest.mark.parametrize("step", [
         ("leader", 1, (1,)),                    # a plain tuple, not a TraceStep
@@ -126,11 +137,14 @@ class TestTraceReplay:
         TraceStep("needed", 1, ()),            # not one player outside helpers
         TraceStep("latecomer", 1, (1, 2)),
         TraceStep("needed", 1, (1.0,)),        # a player that is not an int
+        TraceStep("needed", True, (1,)),       # a bool is not an int here
+        TraceStep("needed", 1, (True,)),
     ], ids=["plain-tuple", "not-a-step", "unknown-kind", "str-coalition", "float-coalition",
-            "int-players", "list-players", "no-player", "two-players", "float-player"])
+            "int-players", "list-players", "no-player", "two-players", "float-player",
+            "bool-coalition", "bool-player"])
     def test_malformed_step_is_an_inconsistent_trace(self, step):
         g = ashg.Game(["a", "b", "c"])
-        trace = ashg.CisTrace((TraceStep("leader", 1, (0,)), step))
+        trace = (TraceStep("leader", 1, (0,)), step)
         with pytest.raises(InconsistentTrace):
             ashg.replay_trace(g, trace)
 
@@ -155,10 +169,10 @@ STEPS = st.one_of(
 def test_replay_returns_a_partition_or_an_inconsistent_trace(data, n, game_seed, seed):
     """A valid trace prefix followed by arbitrary steps replays or fails as an input error."""
     game = random_game(random.Random(game_seed), n)
-    valid = ashg.compute_cis(game, seed=seed)[1].steps
+    valid = ashg.compute_cis(game, seed=seed)[1]
     steps = valid[:data.draw(st.integers(0, len(valid)))] + tuple(data.draw(st.lists(STEPS, max_size=4)))
     try:
-        part = ashg.replay_trace(game, ashg.CisTrace(steps))
+        part = ashg.replay_trace(game, steps)
     except InconsistentTrace:
         return
     assert sorted(p for b in part.blocks for p in b) == list(range(n))
@@ -190,7 +204,7 @@ def check_role_conditions(game, trace, seed=None):
                 return j
         return None
 
-    for kind, k, players in trace.steps:
+    for kind, k, players in trace:
         remaining = set(range(n)) - placed
         if kind != "helpers":
             assert len(players) == 1
@@ -277,7 +291,7 @@ def assert_matches_reference(game, seed):
     part, trace = ashg.compute_cis(game, seed=seed)
     ref_part, ref_trace = reference_cis(game, seed=seed)
     assert part.blocks == ref_part.blocks, (ashg.serialize_game(game), seed)
-    assert trace.steps == ref_trace.steps, (ashg.serialize_game(game), seed)
+    assert trace == ref_trace, (ashg.serialize_game(game), seed)
 
 
 def test_matches_reference_on_criterion_3_corpus():

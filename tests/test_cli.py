@@ -49,6 +49,19 @@ class TestGen:
         pi_text = (tmp_path / "split.game.partition").read_text()
         assert pi_text == "x1 x2 y1 y2 z1 z2 z3\n"
 
+    @pytest.mark.parametrize("with_out", [True, False], ids=["with-o", "game-to-stdout"])
+    def test_partition_out_names_the_partition_file(self, capsys, tmp_path, with_out):
+        _, both = run(capsys, "gen", "partition", "-w", "1,1,2")  # game, then partition
+        po, game_file = tmp_path / "p.partition", tmp_path / "g.game"
+        argv = ["gen", "partition", "-w", "1,1,2", "--partition-out", str(po)]
+        code, out = run(capsys, *argv, *(["-o", str(game_file)] if with_out else []))
+        assert code == 0 and po.read_text() == "x1 x2 y1 y2 z1 z2 z3\n"
+        if with_out:
+            assert out == ""
+            out = game_file.read_text()
+        assert out + po.read_text() == both
+        assert not (tmp_path / "g.game.partition").exists()
+
     def test_e3c_from_spec(self, capsys, tmp_path):
         spec = tmp_path / "cover.e3c"
         spec.write_text("universe 1 2 3\nset 1 2 3\n")

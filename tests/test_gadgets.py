@@ -49,6 +49,10 @@ class TestE3CInstance:
         with pytest.raises(InvalidInstance):
             e3c("123456", triples)
 
+    def test_duplicate_universe_element_rejected(self):
+        with pytest.raises(InvalidInstance, match="duplicate universe element"):
+            e3c("112", [])
+
     def test_repeated_triple_rejected(self):
         # a second hub on a covered triple would weakly block the witness
         with pytest.raises(InvalidInstance, match=r"repeated triple: \['1', '2', '3'\]"):
@@ -98,6 +102,16 @@ class TestWitnessPartitionE3C:
             ashg.witness_partition_e3c(gadget, [0, 1])
         with pytest.raises(NotACover):
             ashg.witness_partition_e3c(gadget, [0])
+
+    def test_needs_an_exact_cover_gadget(self, split_gadget_112):
+        with pytest.raises(InvalidInstance, match="not built from an exact-cover instance"):
+            ashg.witness_partition_e3c(split_gadget_112[0], [0])
+
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_triple_index_out_of_range(self, index):
+        gadget = ashg.reduce_e3c(e3c("123", [("1", "2", "3")]))
+        with pytest.raises(NotACover, match="triple index out of range"):
+            ashg.witness_partition_e3c(gadget, [0, index])
 
 
 class TestSolveE3C:
@@ -170,6 +184,11 @@ class TestReducePartition:
         with pytest.raises(InvalidInstance):
             ashg.PartitionInstance((-2,))
 
+    def test_rejects_bool_weights(self):
+        # True == 1, but a game value may not be a bool, so neither may a weight
+        with pytest.raises(InvalidInstance):
+            ashg.PartitionInstance((True, 1))
+
 
 class TestWitnessPartitionSplit:
     def test_split_utilities(self, split_gadget_112):
@@ -190,6 +209,16 @@ class TestWitnessPartitionSplit:
         gadget, _ = split_gadget_112
         with pytest.raises(NotAnEqualSplit):
             ashg.witness_partition_split(gadget, [0])
+
+    def test_needs_a_weight_splitting_gadget(self):
+        gadget = ashg.reduce_e3c(e3c("123", [("1", "2", "3")]))
+        with pytest.raises(InvalidInstance, match="not built from a weight-splitting instance"):
+            ashg.witness_partition_split(gadget, [0])
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_weight_index_out_of_range(self, split_gadget_112, index):
+        with pytest.raises(NotAnEqualSplit, match="weight index out of range"):
+            ashg.witness_partition_split(split_gadget_112[0], [index])
 
 
 class TestSolvePartition:

@@ -1,5 +1,6 @@
 """Core model: utilities, friends, symmetry, partition validation."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,20 @@ class TestGameConstruction:
     def test_rejects_floats(self):
         with pytest.raises(GameFormatError):
             ashg.Game(["a", "b"], {("a", "b"): 0.5})
+
+    @pytest.mark.parametrize("value", ["0.5", "abc", Decimal("NaN"), Decimal("Infinity"), None, 1 + 0j, True],
+                             ids=["decimal-str", "str", "nan", "infinity", "none", "complex", "bool"])
+    def test_values_other_than_int_or_fraction_are_refused_by_type(self, value):
+        # the message names the type, not the value, whose repr can be arbitrarily long
+        message = f"^value of type {type(value).__name__} rejected; use Fraction or int$"
+        builds = [lambda: ashg.Game(["a", "b"], {("a", "b"): value}),
+                  lambda: ashg.Game(["a", "b"], default=value),
+                  lambda: ashg.Game.from_matrix(["a", "b"], [[0, value], [0, 0]])]
+        if value is not None:  # serialize_game's default=None writes no default line
+            builds.append(lambda: ashg.serialize_game(ashg.Game(["a", "b"]), default=value))
+        for build in builds:
+            with pytest.raises(GameFormatError, match=message):
+                build()
 
     def test_default_fills_unspecified_pairs_only(self):
         g = ashg.Game(["a", "b", "c"], {("a", "b"): 7}, default=-2)
@@ -169,6 +184,28 @@ class TestValidatePartition:
     def test_empty_coalition(self, example6):
         with pytest.raises(EmptyCoalition):
             ashg.validate_partition(example6, [[0, 1, 2, 3, 4, 5], []])
+
+    def test_a_bool_is_not_a_player(self):
+        # True == 1, but a player index is a plain int
+        g = ashg.Game(["a", "b"])
+        for call in (lambda: g.value(True, 0), lambda: g.label(False),
+                     lambda: ashg.validate_partition(g, [[True], [0]]),
+                     lambda: ashg.verify(g, [[True], [0]], ashg.StabilityConcept.NS)):
+            with pytest.raises(UnknownPlayer):
+                call()
+
+
+class TestPartition:
+    def test_block_of_an_unknown_player(self):
+        with pytest.raises(UnknownPlayer):
+            ashg.Partition([[0, 1]]).block_of(2)
+
+    def test_iteration_length_and_hash(self):
+        part = ashg.Partition([[2, 0], [1]])
+        assert list(part) == [frozenset({0, 2}), frozenset({1})]
+        assert len(part) == 2
+        assert hash(part) == hash(ashg.Partition([[1], [0, 2]]))
+        assert ashg.Partition([[1], [2, 0]]) in {part}
 
 
 class TestIndividualRationality:
