@@ -33,7 +33,7 @@ import random
 from heapq import heappop, heappush
 from typing import List, NamedTuple, Optional, Tuple
 
-from .errors import InconsistentTrace
+from .errors import InconsistentTrace, shown
 from .game import Game, Partition
 
 KINDS = ("leader", "helpers", "needed", "latecomer")
@@ -129,20 +129,21 @@ def replay_trace(game: Game, trace: Tuple[TraceStep, ...]) -> Partition:
     coalitions: List[set] = []
     placed = set()
     for step in trace:
-        if not isinstance(step, TraceStep) or step.kind not in KINDS:
-            raise InconsistentTrace(f"unknown trace event: {step!r}")
+        if not isinstance(step, TraceStep) or step.kind not in KINDS:  # no repr: a step may be huge
+            what = "a step of unknown kind" if isinstance(step, TraceStep) else f"a {type(step).__name__}"
+            raise InconsistentTrace(f"unknown trace event: {what}")
         kind, k, players = step
         if type(k) is not int or not isinstance(players, tuple) or (kind != "helpers" and len(players) != 1):
-            raise InconsistentTrace(f"malformed trace step: {step!r}")
+            raise InconsistentTrace(f"malformed {kind} step")
         if kind == "leader":
             if k != len(coalitions) + 1:
-                raise InconsistentTrace(f"leader creates coalition {k}, expected {len(coalitions) + 1}")
+                raise InconsistentTrace(f"leader creates coalition {shown(k)}, expected {len(coalitions) + 1}")
             coalitions.append(set())
         elif not 1 <= k <= len(coalitions):
-            raise InconsistentTrace(f"trace references coalition {k} before creation")
+            raise InconsistentTrace(f"trace references coalition {shown(k)} before creation")
         for p in players:
             if type(p) is not int or not 0 <= p < n:
-                raise InconsistentTrace(f"unknown player in trace: {p!r}")
+                raise InconsistentTrace(f"unknown player in trace: {shown(p)}")
             if p in placed:
                 raise InconsistentTrace(f"player {p} placed twice")
             placed.add(p)

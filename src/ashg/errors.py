@@ -1,6 +1,15 @@
 """Exception hierarchy for the ashg package."""
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message, or a placeholder when ``repr`` refuses
+    (an int past ``sys.get_int_max_str_digits()`` digits, or a list holding one)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+
+
 class AshgError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -11,13 +20,13 @@ class GameFormatError(AshgError):
 
 class UnknownPlayer(AshgError):
     def __init__(self, player):
-        super().__init__(f"unknown player: {player!r}")
+        super().__init__(f"unknown player: {shown(player)}")
         self.player = player
 
 
 class PlayerNotInCoalition(AshgError):
     def __init__(self, player):
-        super().__init__(f"player {player!r} is not a member of the coalition")
+        super().__init__(f"player {shown(player)} is not a member of the coalition")
         self.player = player
 
 
@@ -27,13 +36,13 @@ class InvalidPartition(AshgError):
 
 class DuplicatePlayer(InvalidPartition):
     def __init__(self, player):
-        super().__init__(f"player {player!r} appears in more than one coalition")
+        super().__init__(f"player {shown(player)} appears in more than one coalition")
         self.player = player
 
 
 class MissingPlayer(InvalidPartition):
     def __init__(self, player):
-        super().__init__(f"player {player!r} is not covered by any coalition")
+        super().__init__(f"player {shown(player)} is not covered by any coalition")
         self.player = player
 
 

@@ -27,6 +27,7 @@ from .errors import (
     NotACover,
     NotAnEqualSplit,
     TooLarge,
+    shown,
 )
 from .formats import _content_lines
 from .game import Game, Partition
@@ -72,14 +73,14 @@ class E3CInstance:
         seen = set()
         for k, s in enumerate(self.triples):  # each error names the first triple that breaks a rule
             if len(s) != 3 or not s <= known:
-                raise InvalidInstance(f"each triple needs 3 distinct universe elements: {sorted(s)}", k)
+                raise InvalidInstance(f"each triple needs 3 distinct universe elements: {shown(sorted(s))}", k)
             if s in seen:
-                raise InvalidInstance(f"repeated triple: {sorted(s)}", k)
+                raise InvalidInstance(f"repeated triple: {shown(sorted(s))}", k)
             seen.add(s)
             for r in sorted(s):
                 counts[r] += 1
                 if counts[r] > 3:
-                    raise InvalidInstance(f"element {r!r} occurs in more than 3 triples", k)
+                    raise InvalidInstance(f"element {shown(r)} occurs in more than 3 triples", k)
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,8 @@ def witness_partition_e3c(gadget: GadgetGame, cover: Iterable[int]) -> Partition
     if not isinstance(inst, E3CInstance):
         raise InvalidInstance("gadget was not built from an exact-cover instance")
     chosen = sorted(set(cover))
-    if any(not 0 <= k < len(inst.triples) for k in chosen):
-        raise NotACover(f"triple index out of range: {chosen}")
+    if any(type(k) is not int or not 0 <= k < len(inst.triples) for k in chosen):  # a bool is no index
+        raise NotACover(f"triple index out of range: {shown(chosen)}")
     covered = [r for k in chosen for r in inst.triples[k]]
     if len(covered) != len(set(covered)) or set(covered) != set(inst.universe):
         raise NotACover("selected triples are not an exact cover of the universe")
@@ -217,8 +218,8 @@ def witness_partition_split(gadget: GadgetGame, first_half: Iterable[int]) -> Pa
     if not isinstance(inst, PartitionInstance):
         raise InvalidInstance("gadget was not built from a weight-splitting instance")
     chosen = sorted(set(first_half))
-    if any(not 0 <= i < len(inst.weights) for i in chosen):
-        raise NotAnEqualSplit(f"weight index out of range: {chosen}")
+    if any(type(i) is not int or not 0 <= i < len(inst.weights) for i in chosen):  # a bool is no index
+        raise NotAnEqualSplit(f"weight index out of range: {shown(chosen)}")
     if 2 * sum(inst.weights[i] for i in chosen) != inst.total:
         raise NotAnEqualSplit("selected weights do not sum to half the total")
     game = gadget.game

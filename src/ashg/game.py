@@ -28,6 +28,7 @@ from .errors import (
     PlayerNotInCoalition,
     TooLarge,
     UnknownPlayer,
+    shown,
 )
 
 Rational = Union[int, Fraction]
@@ -124,7 +125,7 @@ class Game:
         self.labels, self._index = labels, {}
         for i, lab in enumerate(labels):
             if not isinstance(lab, str) or not _LABEL_RE.fullmatch(lab):
-                raise GameFormatError(f"bad player label: {lab!r}")
+                raise GameFormatError(f"bad player label: {shown(lab)}")
             if self._index.setdefault(lab, i) != i:
                 raise GameFormatError(f"duplicate player label: {lab!r}")
         default = _as_rational(default)
@@ -209,10 +210,9 @@ class Partition:
         self._block_of = block_of
 
     def block_of(self, player: int) -> Coalition:
-        try:
-            return self._block_of[player]
-        except KeyError:
-            raise UnknownPlayer(player) from None
+        if type(player) is not int or player not in self._block_of:  # a bool is not a player
+            raise UnknownPlayer(player)
+        return self._block_of[player]
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":

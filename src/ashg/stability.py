@@ -150,20 +150,21 @@ def _first_coalition(rows, tables, cur, strong, block=None):
     far; a branch is cut once a member's ``have`` plus its positive values toward
     the undecided players falls below its floor. Leaving ``i`` out moves only the
     bounds of the members who like ``i``; taking it in, those of ``i`` and of the
-    members who dislike it. Given ``block`` numbers, a branch is also cut once a
-    left-out ``j`` is sure to lose: ``out[j]``, its value toward the taken members
-    of its block, plus its negative values toward undecided block-mates, is above
-    0. Deciding ``i`` moves that bound only for ``i`` and its left-out block-mates
-    in ``touched[i]``, so only those are re-checked. Both bounds are exact at a
-    leaf, so a leaf is a witness exactly when some member is above ``cur``.
+    members who dislike it. Given ``block`` numbers, ``out[j]`` is ``j``'s value
+    toward the taken members of its block, kept current for every ``j`` by each
+    take-in and its undo. A branch is also cut once a left-out ``j`` is sure to
+    lose: ``out[j]`` plus its negative values toward undecided block-mates is above
+    0, which deciding ``i`` moves only for ``i`` and its left-out ``peers[i]``.
+    Both bounds are exact at a leaf: it is a witness exactly when a member is above ``cur``.
     """
     pos, likers, haters, touched = tables
     n = len(rows)
     floor = [c + strong for c in cur]
     have, out, inside = [0] * n, [0] * n, [False] * n
     members = []
-    # peers[i]: i and its block-mates decided before it that value it at nonzero (empty without blocks)
-    peers = [[i] + [j for j in touched[i] if block[j] == b] for i, b in enumerate(block)] if block else [()] * n
+    # kin[i]: i's block-mates that value it at nonzero; peers[i]: i and its kin decided before it (empty without blocks)
+    kin = [[j for j, c in enumerate(block) if c == b and rows[j][i]] for i, b in enumerate(block or ())] or [()] * n
+    peers = [[i] + [j for j in k if j > i] for i, k in enumerate(kin)] if block else [()] * n
     # neg[j][k]: the sum of j's negative values toward its block-mates among players 0..k-1
     neg = block and [list(accumulate((min(v, 0) if block[q] == b else 0 for q, v in enumerate(row)),
                                      initial=0)) for row, b in zip(rows, block)]
@@ -172,11 +173,9 @@ def _first_coalition(rows, tables, cur, strong, block=None):
         if i < 0:
             return any(have[p] > cur[p] for p in members)
         row, near = rows[i], peers[i]
-        if not likers[i] or all(have[p] + pos[p][i] >= floor[p] for p in likers[i] if inside[p]):
-            if near:
-                out[i] = sum(row[p] for p in members if block[p] == block[i])
-            if (not near or all(out[j] + neg[j][i] <= 0 for j in near if not inside[j])) and walk(i - 1):
-                return True
+        if ((not likers[i] or all(have[p] + pos[p][i] >= floor[p] for p in likers[i] if inside[p]))
+                and (not near or all(out[j] + neg[j][i] <= 0 for j in near if not inside[j])) and walk(i - 1)):
+            return True
         for p in touched[i]:
             if inside[p]:
                 have[p] += rows[p][i]
@@ -186,16 +185,14 @@ def _first_coalition(rows, tables, cur, strong, block=None):
         have[i] = own
         inside[i] = True
         members.append(i)
-        for j in near:
-            if not inside[j]:
-                out[j] += rows[j][i]
+        for j in kin[i]:
+            out[j] += rows[j][i]
         if (own + pos[i][i] >= floor[i]
                 and (not haters[i] or all(have[p] + pos[p][i] >= floor[p] for p in haters[i] if inside[p]))
                 and (not near or all(out[j] + neg[j][i] <= 0 for j in near if not inside[j])) and walk(i - 1)):
             return True
-        for j in near:
-            if not inside[j]:
-                out[j] -= rows[j][i]
+        for j in kin[i]:
+            out[j] -= rows[j][i]
         members.pop()
         inside[i] = False
         for p in touched[i]:

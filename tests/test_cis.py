@@ -148,6 +148,25 @@ class TestTraceReplay:
         with pytest.raises(InconsistentTrace):
             ashg.replay_trace(g, trace)
 
+    @pytest.mark.parametrize("step", [
+        TraceStep("leader", 10**5000, (0,)),
+        TraceStep("needed", 10**5000, (1,)),
+        TraceStep("needed", 1, (10**5000,)),
+    ], ids=["leader-coalition", "coalition", "player"])
+    def test_an_int_too_long_to_print_is_an_inconsistent_trace(self, step):
+        trace = (step,) if step.kind == "leader" else (TraceStep("leader", 1, (0,)), step)
+        with pytest.raises(InconsistentTrace, match="<int too long to show>"):
+            ashg.replay_trace(ashg.Game(["a", "b"]), trace)
+
+    @pytest.mark.parametrize("step", [
+        TraceStep("needed", 1, tuple(range(100_000))),
+        TraceStep("x" * 10**6, 1, (1,)),
+    ], ids=["100k-players", "long-kind"])
+    def test_a_huge_malformed_step_gives_a_short_message(self, step):
+        with pytest.raises(InconsistentTrace) as err:
+            ashg.replay_trace(ashg.Game(["a", "b"]), (TraceStep("leader", 1, (0,)), step))
+        assert len(str(err.value)) < 200
+
     def test_serialized_trace_lines(self, example6):
         _, trace = ashg.compute_cis(example6)
         lines = ashg.serialize_trace(example6, trace).splitlines()

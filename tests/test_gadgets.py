@@ -114,6 +114,13 @@ class TestWitnessPartitionE3C:
             ashg.witness_partition_e3c(gadget, [0, index])
 
 
+    def test_a_bool_is_not_a_triple_index(self):
+        # True == 1, but [False, True] is not the cover [0, 1]
+        gadget = ashg.reduce_e3c(e3c("123456", [("1", "2", "3"), ("4", "5", "6")]))
+        with pytest.raises(NotACover, match=r"triple index out of range: \[False, True\]"):
+            ashg.witness_partition_e3c(gadget, [False, True])
+
+
 class TestSolveE3C:
     def test_single_triple(self):
         assert ashg.solve_e3c(e3c("123", [("1", "2", "3")])) == (0,)
@@ -219,6 +226,28 @@ class TestWitnessPartitionSplit:
     def test_weight_index_out_of_range(self, split_gadget_112, index):
         with pytest.raises(NotAnEqualSplit, match="weight index out of range"):
             ashg.witness_partition_split(split_gadget_112[0], [index])
+
+
+    def test_a_bool_is_not_a_weight_index(self, split_gadget_112):
+        with pytest.raises(NotAnEqualSplit, match="weight index out of range"):
+            ashg.witness_partition_split(split_gadget_112[0], [True, False])
+
+
+# an int whose repr Python refuses (over 4,300 digits): each error still names it
+BIG = 10**5000
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ashg.witness_partition_e3c(ashg.reduce_e3c(e3c("123", ["123"])), [BIG]), NotACover),
+    (lambda: ashg.witness_partition_split(ashg.reduce_partition(ashg.PartitionInstance((1, 1, 2)))[0], [BIG]),
+     NotAnEqualSplit),
+    (lambda: e3c((BIG, 1, 2), [(BIG, 1, 3)]), InvalidInstance),
+    (lambda: e3c((BIG, 1, 2), [(BIG, 1, 2), (2, 1, BIG)]), InvalidInstance),
+    (lambda: e3c((BIG, *range(1, 12)), [(BIG, a, a + 1) for a in (1, 3, 5, 7)]), InvalidInstance),
+], ids=["e3c-witness", "split-witness", "unknown-element", "repeated-triple", "element-in-4-triples"])
+def test_an_int_too_long_to_print_is_an_ashg_error(call, error):
+    with pytest.raises(error, match="<(int|list) too long to show>"):
+        call()
 
 
 class TestSolvePartition:

@@ -91,6 +91,17 @@ class TestGameConstruction:
         assert g == h
         assert hash(g) == hash(h)
 
+    @pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0, 1], [1, 0], [0, 0]]], ids=["ragged", "extra-row"])
+    def test_from_matrix_shape_must_match_the_labels(self, rows):
+        with pytest.raises(GameFormatError, match="matrix shape does not match the player count"):
+            ashg.Game.from_matrix(["a", "b"], rows)
+
+    def test_equality_with_another_type_is_false(self):
+        assert (ashg.Game(["a"]) == "a") is False
+
+    def test_repr(self):
+        assert repr(ashg.Game(["a", "b"])) == "Game(2 players: a b)"
+
     def test_values_are_exact_canonical_rationals(self):
         g = ashg.Game(["a", "b"], {("a", "b"): Fraction(2, 4)})
         v = g.value(0, 1)
@@ -200,12 +211,45 @@ class TestPartition:
         with pytest.raises(UnknownPlayer):
             ashg.Partition([[0, 1]]).block_of(2)
 
+    def test_block_of_a_bool(self):
+        # True == 1, but a player index is a plain int
+        with pytest.raises(UnknownPlayer):
+            ashg.Partition([[0, 1]]).block_of(True)
+
+    def test_equality_with_another_type_is_false(self):
+        assert (ashg.Partition([[0]]) == [[0]]) is False
+
+    def test_repr(self):
+        assert repr(ashg.Partition([[2, 0], [1]])) == "Partition(0 2 | 1)"
+
     def test_iteration_length_and_hash(self):
         part = ashg.Partition([[2, 0], [1]])
         assert list(part) == [frozenset({0, 2}), frozenset({1})]
         assert len(part) == 2
         assert hash(part) == hash(ashg.Partition([[1], [0, 2]]))
         assert ashg.Partition([[1], [2, 0]]) in {part}
+
+
+# an int whose repr Python refuses (over 4,300 digits): each error still names it
+BIG = 10**5000
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda g: g.label(BIG), UnknownPlayer),
+    (lambda g: g.value(0, BIG), UnknownPlayer),
+    (lambda g: ashg.validate_partition(g, [[BIG], [0, 1]]), UnknownPlayer),
+    (lambda g: ashg.verify(g, [[BIG], [0, 1]], ashg.StabilityConcept.CSC), UnknownPlayer),
+    (lambda g: ashg.Partition([[BIG], [BIG]]), DuplicatePlayer),
+    (lambda g: ashg.Partition([[0]]).block_of(BIG), UnknownPlayer),
+    (lambda g: ashg.utility(g, [0, BIG], 0), UnknownPlayer),
+    (lambda g: ashg.utility(g, [0], BIG), PlayerNotInCoalition),
+    (lambda g: ashg.friends(g, BIG, [0]), UnknownPlayer),
+    (lambda g: ashg.Game([BIG]), GameFormatError),
+], ids=["label", "value", "validate_partition", "verify", "duplicate", "block_of", "utility-member",
+        "utility-player", "friends", "label-type"])
+def test_an_int_too_long_to_print_is_an_ashg_error(call, error):
+    with pytest.raises(error, match="<(int|list) too long to show>"):
+        call(ashg.Game(["a", "b"]))
 
 
 class TestIndividualRationality:
