@@ -17,9 +17,10 @@ coalition ``coalition``; the trace is the tuple of these steps.
 The pick order is the remaining player with the lowest index by default, or
 a seeded shuffle. The output is meant to be contractually individually
 stable, but some orders give a partition that is not: the ``bug6`` game of
-``tests/test_cis.py`` with seed 4, and about 1 in 18,000 orders on small
-dense games. ``ashg solve-cis`` refuses such output with exit 1; item 1 of
-ROADMAP.md tracks the fix.
+``tests/test_cis.py`` with seed 4, about 1 in 18,000 orders on small dense
+games, and about 1 in 410 (191 of 78,800) on sparse games of 30-600 players
+with 2-8 values each. ``ashg solve-cis`` refuses such output with exit 1;
+item 1 of ROADMAP.md tracks the fix.
 
 Cost: one walk over a player's stored row (its nonzero values, see
 ``Game``) when it is picked and one when it joins, plus heap work on the
@@ -151,7 +152,7 @@ def replay_trace(game: Game, trace: Tuple[TraceStep, ...]) -> Partition:
 
     if len(placed) != n:
         missing = sorted(set(range(n)) - placed)
-        raise InconsistentTrace(f"trace leaves players unplaced: {missing}")
+        raise InconsistentTrace(f"trace leaves players unplaced: {shown(missing)}")
     return Partition(coalitions)
 
 

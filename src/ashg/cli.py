@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cis import compute_cis, serialize_trace
-from .errors import AshgError, GameFormatError
+from .errors import AshgError, GameFormatError, shown
 from .formats import parse_game, parse_partition, serialize_game, serialize_partition
 from .gadgets import (
     PartitionInstance,
@@ -64,7 +64,7 @@ def _parse_weights(spec: str) -> PartitionInstance:
     tokens = spec.replace(",", " ").split()
     # ASCII digits only: int() alone also takes "1_0" and non-ASCII digits
     if not all(_WEIGHT_RE.fullmatch(t) for t in tokens):
-        raise AshgError(f"bad weight list: {spec!r}")
+        raise AshgError(f"bad weight list: {shown(spec)}")
     return PartitionInstance(tuple(_int(t, f"weight {k + 1}", AshgError) for k, t in enumerate(tokens)))
 
 
@@ -79,7 +79,7 @@ def _int(token: str, what: str, error) -> int:
 def _seed(token: str) -> int:
     # ASCII digits only, as in weight lists; int() alone takes "1_0" and " 10 "
     if not _WEIGHT_RE.fullmatch(token):
-        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(token)}")
     return _int(token, "seed", argparse.ArgumentTypeError)
 
 
@@ -96,6 +96,15 @@ def _render_witness(game, witness) -> str:
     if isinstance(witness, BlockingWitness):
         return "blocking " + " ".join(game.labels[p] for p in sorted(witness.coalition))
     return "pareto-dominating:\n" + serialize_partition(game, witness).rstrip()  # else a Partition
+
+
+def _report(found, render) -> int:
+    """``none`` on stdout and exit 2 when nothing was found, else ``render(found)`` and exit 0."""
+    if found is None:
+        print("none")
+        return UNSTABLE
+    sys.stdout.write(render(found))
+    return OK
 
 
 def cmd_gen_example6(args) -> int:
@@ -146,30 +155,15 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     game = parse_game(_read(args.game))
-    found = core_exists(game, strict=args.concept == "strict-core")
-    if found is None:
-        print("none")
-        return UNSTABLE
-    sys.stdout.write(serialize_partition(game, found))
-    return OK
+    return _report(core_exists(game, strict=args.concept == "strict-core"), lambda p: serialize_partition(game, p))
 
 
 def cmd_oracle_e3c(args) -> int:
-    cover = solve_e3c(parse_e3c(_read(args.spec)))
-    if cover is None:
-        print("none")
-        return UNSTABLE
-    print("cover: " + " ".join(str(k) for k in cover))
-    return OK
+    return _report(solve_e3c(parse_e3c(_read(args.spec))), lambda cover: "cover: " + " ".join(map(str, cover)) + "\n")
 
 
 def cmd_oracle_partition(args) -> int:
-    split = solve_partition(_load_weights(args))
-    if split is None:
-        print("none")
-        return UNSTABLE
-    print("A1: " + " ".join(str(i) for i in split))
-    return OK
+    return _report(solve_partition(_load_weights(args)), lambda split: "A1: " + " ".join(map(str, split)) + "\n")
 
 
 def _add_weights(p: argparse.ArgumentParser) -> None:

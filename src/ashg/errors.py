@@ -2,12 +2,13 @@
 
 
 def shown(value) -> str:
-    """``repr(value)`` for an error message, or a placeholder when ``repr`` refuses
-    (an int past ``sys.get_int_max_str_digits()`` digits, or a list holding one)."""
+    """``repr(value)`` for an error message, cut after 200 characters, or a placeholder when
+    ``repr`` refuses (an int past ``sys.get_int_max_str_digits()`` digits, or a list holding one)."""
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to show>"
+    return text if len(text) <= 200 else f"{text[:200]}... ({len(text)} characters)"
 
 
 class AshgError(Exception):

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .errors import AshgError, GameFormatError
+from .errors import AshgError, GameFormatError, shown
 from .game import Game, Partition, Rational, _as_rational, _from_cells, validate_partition
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
@@ -29,7 +29,7 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 def parse_rational(token: str, lineno: Optional[int] = None) -> Rational:
     """An ``int`` for ``p``, a ``Fraction`` for ``p/q``; ``lineno`` is named if it is too long."""
     if not _RATIONAL_RE.fullmatch(token):
-        raise GameFormatError(f"bad rational: {token!r} (use p or p/q with q > 0)")
+        raise GameFormatError(f"bad rational: {shown(token)} (use p or p/q with q > 0)")
     try:  # the regex admits ASCII digits only, which is all int() then sees
         return Fraction(*map(int, token.split("/"))) if "/" in token else int(token)
     except ValueError:  # more digits than int() converts; the token is not echoed
@@ -88,10 +88,10 @@ def parse_game(text: str) -> Game:
                 raise GameFormatError(f"line {lineno}: duplicate default line")
             default = parse_rational(tokens[1], lineno)
         else:
-            raise GameFormatError(f"line {lineno}: unknown directive {tokens[0]!r}")
+            raise GameFormatError(f"line {lineno}: unknown directive {shown(tokens[0])}")
     if self_valued is not None:
-        raise GameFormatError(f"nonzero self-value for player {self_valued!r}")
-    return _from_cells(labels, cells, values, 0 if default is None else default)
+        raise GameFormatError(f"nonzero self-value for player {shown(self_valued)}")
+    return _from_cells(labels, index, cells, values, 0 if default is None else default)
 
 
 def serialize_game(game: Game, default: Optional[Rational] = None) -> str:
@@ -121,10 +121,7 @@ def serialize_game(game: Game, default: Optional[Rational] = None) -> str:
 
 
 def parse_partition(text: str, game: Game) -> Partition:
-    groups = []
-    for _lineno, tokens in _content_lines(text):
-        groups.append([game.index(lab) for lab in tokens])
-    return validate_partition(game, groups)
+    return validate_partition(game, Partition.of_labels(game, (tokens for _, tokens in _content_lines(text))))
 
 
 def serialize_partition(game: Game, partition: Partition) -> str:

@@ -44,6 +44,15 @@ _HEXAGON_EDGES = (
 )
 
 
+def _indices(given: Iterable[int], count: int, error, what: str) -> frozenset:
+    """The given indices, each checked to be a plain int below ``count`` before it is hashed or sorted."""
+    given = list(given)
+    if all(type(k) is int and 0 <= k < count for k in given):  # a bool is no index
+        return frozenset(given)
+    named = sorted(set(given)) if all(isinstance(k, int) for k in given) else given
+    raise error(f"{what} index out of range: {shown(named)}")
+
+
 def _put(values: dict, a: str, b: str, w) -> None:
     """Give the pair of ``a`` and ``b`` the value ``w`` in both directions."""
     values[(a, b)] = values[(b, a)] = w
@@ -66,18 +75,24 @@ class E3CInstance:
     def __post_init__(self):
         if not self.universe or len(self.universe) % 3 != 0:
             raise InvalidInstance("the universe size must be a positive multiple of 3")
-        if len(set(self.universe)) != len(self.universe):
+        try:
+            known = set(self.universe)
+        except TypeError:
+            raise InvalidInstance("universe elements must be hashable") from None
+        if len(known) != len(self.universe):
             raise InvalidInstance("duplicate universe element")
-        known = set(self.universe)
         counts = {r: 0 for r in self.universe}
         seen = set()
         for k, s in enumerate(self.triples):  # each error names the first triple that breaks a rule
+            if not isinstance(s, frozenset):
+                raise InvalidInstance(f"a triple is a frozenset, not a {type(s).__name__}", k)
+            members = sorted(s, key=lambda r: (type(r).__name__, r))  # no two types are compared
             if len(s) != 3 or not s <= known:
-                raise InvalidInstance(f"each triple needs 3 distinct universe elements: {shown(sorted(s))}", k)
+                raise InvalidInstance(f"each triple needs 3 distinct universe elements: {shown(members)}", k)
             if s in seen:
-                raise InvalidInstance(f"repeated triple: {shown(sorted(s))}", k)
+                raise InvalidInstance(f"repeated triple: {shown(members)}", k)
             seen.add(s)
-            for r in sorted(s):
+            for r in members:
                 counts[r] += 1
                 if counts[r] > 3:
                     raise InvalidInstance(f"element {shown(r)} occurs in more than 3 triples", k)
@@ -127,7 +142,7 @@ def reduce_e3c(inst: E3CInstance) -> GadgetGame:
         for i, j, w in _HEXAGON_EDGES:
             _put(values, f"x{i}_{r}", f"x{j}_{r}", w)
     for k, s in enumerate(inst.triples):
-        members = sorted(s)
+        members = tuple(s)  # any order: the game does not depend on it
         for a in range(3):
             for b in range(a + 1, 3):
                 _put(values, f"x6_{members[a]}", f"x6_{members[b]}", half)
@@ -145,27 +160,17 @@ def witness_partition_e3c(gadget: GadgetGame, cover: Iterable[int]) -> Partition
     inst = gadget.instance
     if not isinstance(inst, E3CInstance):
         raise InvalidInstance("gadget was not built from an exact-cover instance")
-    chosen = sorted(set(cover))
-    if any(type(k) is not int or not 0 <= k < len(inst.triples) for k in chosen):  # a bool is no index
-        raise NotACover(f"triple index out of range: {shown(chosen)}")
+    chosen = _indices(cover, len(inst.triples), NotACover, "triple")
     covered = [r for k in chosen for r in inst.triples[k]]
     if len(covered) != len(set(covered)) or set(covered) != set(inst.universe):
         raise NotACover("selected triples are not an exact cover of the universe")
 
-    game = gadget.game
-    blocks = []
+    groups = []
     for r in inst.universe:
-        blocks.append([game.index(f"x1_{r}"), game.index(f"x2_{r}")])
-        blocks.append([game.index(f"x{j}_{r}") for j in (3, 4, 5)])
-    chosen_set = set(chosen)
-    for k in range(len(inst.triples)):
-        if k in chosen_set:
-            blocks.append(
-                [game.index(f"y_{k}")] + [game.index(f"x6_{r}") for r in sorted(inst.triples[k])]
-            )
-        else:
-            blocks.append([game.index(f"y_{k}")])
-    return Partition(blocks)
+        groups += [[f"x1_{r}", f"x2_{r}"], [f"x3_{r}", f"x4_{r}", f"x5_{r}"]]
+    for k, s in enumerate(inst.triples):
+        groups.append([f"y_{k}"] + ([f"x6_{r}" for r in s] if k in chosen else []))
+    return Partition.of_labels(gadget.game, groups)
 
 
 def solve_e3c(inst: E3CInstance) -> Optional[Tuple[int, ...]]:
@@ -217,18 +222,13 @@ def witness_partition_split(gadget: GadgetGame, first_half: Iterable[int]) -> Pa
     inst = gadget.instance
     if not isinstance(inst, PartitionInstance):
         raise InvalidInstance("gadget was not built from a weight-splitting instance")
-    chosen = sorted(set(first_half))
-    if any(type(i) is not int or not 0 <= i < len(inst.weights) for i in chosen):  # a bool is no index
-        raise NotAnEqualSplit(f"weight index out of range: {shown(chosen)}")
+    chosen = _indices(first_half, len(inst.weights), NotAnEqualSplit, "weight")
     if 2 * sum(inst.weights[i] for i in chosen) != inst.total:
         raise NotAnEqualSplit("selected weights do not sum to half the total")
-    game = gadget.game
-    chosen_set = set(chosen)
-    left = [game.index("x1"), game.index("y1")]
-    right = [game.index("x2"), game.index("y2")]
+    left, right = ["x1", "y1"], ["x2", "y2"]
     for i in range(len(inst.weights)):
-        (left if i in chosen_set else right).append(game.index(f"z{i + 1}"))
-    return Partition([left, right])
+        (left if i in chosen else right).append(f"z{i + 1}")
+    return Partition.of_labels(gadget.game, [left, right])
 
 
 def solve_partition(inst: PartitionInstance) -> Optional[Tuple[int, ...]]:
@@ -267,7 +267,7 @@ def parse_e3c(text: str) -> E3CInstance:
             universe = tuple(args)
             continue
         if kind != "set":
-            raise GameFormatError(f"line {lineno}: unknown directive {kind!r}")
+            raise GameFormatError(f"line {lineno}: unknown directive {shown(kind)}")
         if len(args) != 3:
             raise GameFormatError(f"line {lineno}: set takes exactly 3 elements")
         triples.append(frozenset(args))

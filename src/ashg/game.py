@@ -24,6 +24,7 @@ from .errors import (
     EmptyCoalition,
     EmptyGame,
     GameFormatError,
+    InvalidPartition,
     MissingPlayer,
     PlayerNotInCoalition,
     TooLarge,
@@ -77,10 +78,10 @@ def dense_rows(game: "Game") -> list:
     return [[row.get(j, 0) for j in range(game.n)] for row in game.rows]
 
 
-def _from_cells(labels: Tuple[str, ...], cells: list, values: dict, default: Rational) -> "Game":
-    """The trusted constructor: labels valid and distinct, no nonzero self-value in ``cells``."""
+def _from_cells(labels: Tuple[str, ...], index: dict, cells: list, values: dict, default: Rational) -> "Game":
+    """The trusted constructor: labels valid and distinct, ``index`` their positions, no nonzero self-value."""
     game = Game.__new__(Game)
-    game.labels, game._index = labels, {lab: i for i, lab in enumerate(labels)}
+    game.labels, game._index = labels, index
     game.rows, game.scale = scaled_rows(cells, values, default)
     return game
 
@@ -127,13 +128,13 @@ class Game:
             if not isinstance(lab, str) or not _LABEL_RE.fullmatch(lab):
                 raise GameFormatError(f"bad player label: {shown(lab)}")
             if self._index.setdefault(lab, i) != i:
-                raise GameFormatError(f"duplicate player label: {lab!r}")
+                raise GameFormatError(f"duplicate player label: {shown(lab)}")
         default = _as_rational(default)
         cells, values = [{} for _ in labels], {}  # each value is its own key
         for i, j, v in entries:
             v = _as_rational(v)
             if i == j and v != 0:
-                raise GameFormatError(f"nonzero self-value for player {labels[i]!r}")
+                raise GameFormatError(f"nonzero self-value for player {shown(labels[i])}")
             cells[i][j] = values[v] = v
         self.rows, self.scale = scaled_rows(cells, values, default)
 
@@ -144,7 +145,7 @@ class Game:
     def index(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise UnknownPlayer(label) from None
 
     def label(self, player: int) -> str:
@@ -160,9 +161,12 @@ class Game:
         if type(player) is not int or not 0 <= player < self.n:  # a bool is not a player
             raise UnknownPlayer(player)
 
-    def _check_members(self, members: Iterable[int]) -> None:
-        for j in members:
-            self._check_player(j)
+    def _members(self, players: Iterable[int]) -> frozenset:
+        """The players as a frozenset, each checked as by ``_check_player`` before it is hashed."""
+        players = list(players)
+        for p in players:
+            self._check_player(p)
+        return frozenset(players)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Game):
@@ -195,19 +199,22 @@ class Partition:
     __slots__ = ("blocks", "_block_of")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        cleaned = [list(b) for b in blocks]
+        try:
+            cleaned = [list(b) for b in blocks]
+        except TypeError:
+            raise InvalidPartition("coalitions must be iterables of players") from None
         if not all(cleaned):
             raise EmptyCoalition()
-        block_of = {}
+        seen = set()
         for members in cleaned:
-            fs = frozenset(members)
-            # members, not fs: a player listed twice in one block is a duplicate too
-            for p in members:
-                if p in block_of:
+            for p in members:  # each member is checked before it is hashed or sorted
+                if type(p) is not int:  # a bool is not a player
+                    raise UnknownPlayer(p)
+                if p in seen:  # a player listed twice in one block is a duplicate too
                     raise DuplicatePlayer(p)
-                block_of[p] = fs
-        self.blocks = tuple(sorted(set(block_of.values()), key=min))
-        self._block_of = block_of
+                seen.add(p)
+        self.blocks = tuple(sorted(map(frozenset, cleaned), key=min))
+        self._block_of = {p: block for block in self.blocks for p in block}
 
     def block_of(self, player: int) -> Coalition:
         if type(player) is not int or player not in self._block_of:  # a bool is not a player
@@ -252,8 +259,8 @@ def validate_partition(game: Game, partition) -> Partition:
     """Check that ``partition`` is a partition of the game's player set.
 
     Accepts a ``Partition`` or any iterable of coalitions. Raises
-    ``DuplicatePlayer``, ``MissingPlayer``, ``UnknownPlayer``, or
-    ``EmptyCoalition``; returns the validated ``Partition``.
+    ``DuplicatePlayer``, ``MissingPlayer``, ``UnknownPlayer``, ``EmptyCoalition``
+    or ``InvalidPartition``; returns the validated ``Partition``.
     """
     if not isinstance(partition, Partition):
         partition = Partition(partition)
@@ -268,24 +275,21 @@ def validate_partition(game: Game, partition) -> Partition:
 
 def utility(game: Game, coalition: Iterable[int], player: int) -> Fraction:
     """Utility of ``player`` in ``coalition``: the sum of its values for the others."""
-    members = frozenset(coalition)
-    game._check_members(members)
-    if player not in members:
+    members = game._members(coalition)
+    if type(player) is not int or player not in members:  # a bool is not a player
         raise PlayerNotInCoalition(player)
     return Fraction(int_utility(game, player, members), game.scale)
 
 
 def partition_utility(game: Game, partition: Partition, player: int) -> Fraction:
-    part = validate_partition(game, partition)
-    game._check_player(player)
-    return utility(game, part.block_of(player), player)
+    # a validated partition covers exactly the players, so block_of refuses any other player
+    return Fraction(int_utility(game, player, validate_partition(game, partition).block_of(player)), game.scale)
 
 
 def friends(game: Game, player: int, pool: Iterable[int]) -> frozenset:
     """Members of ``pool`` the player strictly likes (positive value)."""
     game._check_player(player)
-    pool = frozenset(pool)
-    game._check_members(pool)
+    pool = game._members(pool)
     get = game.rows[player].get
     return frozenset(j for j in pool if get(j, 0) > 0)
 

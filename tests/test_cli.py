@@ -361,6 +361,18 @@ class TestLongIntegers:
         assert self.LONG not in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "{game}", "{long}", "--concept", "ns"],
+                                  ["oracle", "partition", "--weights-file", "{long}"]], ids=["verify", "oracle"])
+def test_a_long_label_is_cut_on_stderr(capsys, tmp_path, argv):
+    # a 2,000,000-character label: the error names 200 characters of it and its length
+    (tmp_path / "ab.game").write_text("players a b\n")
+    (tmp_path / "long.partition").write_text("a b\n" + "x" * 2_000_000 + "\n")
+    files = {"{game}": str(tmp_path / "ab.game"), "{long}": str(tmp_path / "long.partition")}
+    assert main([files.get(a, a) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.encode()) < 300
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

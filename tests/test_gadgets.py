@@ -250,6 +250,37 @@ def test_an_int_too_long_to_print_is_an_ashg_error(call, error):
         call()
 
 
+# each index or element is checked before it is hashed or sorted, and no two types are compared
+@pytest.mark.parametrize("call, error", [
+    (lambda: ashg.witness_partition_e3c(ashg.reduce_e3c(e3c("123", ["123"])), ["a", 0]), NotACover),
+    (lambda: ashg.witness_partition_e3c(ashg.reduce_e3c(e3c("123", ["123"])), [[0]]), NotACover),
+    (lambda: ashg.witness_partition_split(ashg.reduce_partition(ashg.PartitionInstance((1, 1, 2)))[0], [[0]]),
+     NotAnEqualSplit),
+    (lambda: ashg.E3CInstance(("a", "b", 1), (frozenset({"a", "b", 2}),)), InvalidInstance),
+    (lambda: ashg.E3CInstance(("a", "b", "c"), (["a", "b", "c"],)), InvalidInstance),
+    (lambda: ashg.E3CInstance((["a"], "b", "c"), ()), InvalidInstance),
+], ids=["e3c-mixed-index", "e3c-nested-index", "split-nested-index", "mixed-triple", "list-triple",
+        "unhashable-element"])
+def test_an_index_or_element_of_the_wrong_type_is_an_ashg_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_a_mixed_type_universe_builds_its_gadget_and_witness():
+    inst = ashg.E3CInstance(("a", "b", 1), (frozenset({"a", "b", 1}),))
+    gadget = ashg.reduce_e3c(inst)
+    blocks = {frozenset(gadget.game.labels[p] for p in b) for b in ashg.witness_partition_e3c(gadget, [0])}
+    assert frozenset({"y_0", "x6_a", "x6_b", "x6_1"}) in blocks
+    with pytest.raises(InvalidInstance, match=r"^repeated triple: \[1, 'a', 'b'\]$"):
+        ashg.E3CInstance(inst.universe, inst.triples * 2)
+
+
+def test_int_index_lists_keep_their_message():
+    gadget = ashg.reduce_partition(ashg.PartitionInstance((1, 1, 2)))[0]
+    with pytest.raises(NotAnEqualSplit, match=r"^weight index out of range: \[False, True, 3\]$"):
+        ashg.witness_partition_split(gadget, [3, True, False, 3])
+
+
 class TestSolvePartition:
     def test_first_subset_in_mask_order(self):
         assert ashg.solve_partition(ashg.PartitionInstance((1, 1, 2))) == (0, 1)

@@ -13,6 +13,7 @@ from ashg.errors import (
     EmptyCoalition,
     EmptyGame,
     GameFormatError,
+    InvalidPartition,
     MissingPlayer,
     PlayerNotInCoalition,
     UnknownPlayer,
@@ -250,6 +251,37 @@ BIG = 10**5000
 def test_an_int_too_long_to_print_is_an_ashg_error(call, error):
     with pytest.raises(error, match="<(int|list) too long to show>"):
         call(ashg.Game(["a", "b"]))
+
+
+# each member is checked to be a plain int before it is hashed or sorted
+@pytest.mark.parametrize("call, error", [
+    (lambda g: ashg.validate_partition(ashg.Game(["a"]), [[[0]]]), UnknownPlayer),
+    (lambda g: ashg.validate_partition(g, [0, 1]), InvalidPartition),
+    (lambda g: ashg.validate_partition(g, [["a"], [0]]), UnknownPlayer),
+    (lambda g: ashg.Partition([[0, 0.0]]), UnknownPlayer),
+    (lambda g: ashg.Game(["a"]).index(["a"]), UnknownPlayer),
+    (lambda g: ashg.Partition.of_labels(g, [[["a"]]]), UnknownPlayer),
+    (lambda g: ashg.utility(g, [[0]], 0), UnknownPlayer),
+    (lambda g: ashg.utility(g, [0, 1], [0]), PlayerNotInCoalition),
+    (lambda g: ashg.utility(g, [0, 1], True), PlayerNotInCoalition),
+    (lambda g: ashg.friends(g, 0, [[0]]), UnknownPlayer),
+], ids=["nested-member", "int-block", "str-member", "float-member", "list-label", "nested-label",
+        "utility-member", "utility-list-player", "utility-bool-player", "friends-pool"])
+def test_a_member_of_the_wrong_type_is_an_ashg_error(call, error):
+    with pytest.raises(error):
+        call(ashg.Game(["a", "b"]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ashg.Game(["a"]).index("x" * 10**6),
+    lambda: ashg.Game(["x" * 10**6, "x" * 10**6]),
+    lambda: ashg.Game(["x" * 10**6], {("x" * 10**6, "x" * 10**6): 1}),
+    lambda: ashg.validate_partition(ashg.Game(["a"]), [[10**4000]]),
+], ids=["unknown-label", "duplicate-label", "self-value", "big-int-member"])
+def test_an_echoed_value_is_cut_at_200_characters(call):
+    with pytest.raises(ashg.AshgError) as exc:
+        call()
+    assert len(str(exc.value)) < 300 and "... (" in str(exc.value)
 
 
 class TestIndividualRationality:
