@@ -1,5 +1,7 @@
 """Additively separable hedonic games: exact stability analysis toolkit."""
 
+from types import ModuleType as _ModuleType
+
 from .cis import TraceStep, compute_cis, replay_trace, serialize_trace
 from .errors import (
     AshgError,
@@ -64,5 +66,5 @@ from .stability import (
     verify,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

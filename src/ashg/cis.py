@@ -34,7 +34,7 @@ import random
 from heapq import heappop, heappush
 from typing import List, NamedTuple, Optional, Tuple
 
-from .errors import InconsistentTrace, shown
+from .errors import AshgError, InconsistentTrace, shown
 from .game import Game, Partition
 
 KINDS = ("leader", "helpers", "needed", "latecomer")
@@ -53,7 +53,9 @@ class TraceStep(NamedTuple):
 
 
 def compute_cis(game: Game, seed: Optional[int] = None) -> Tuple[Partition, Tuple[TraceStep, ...]]:
-    """Build a CIS partition and its trace; ``seed=None`` picks lowest-index players first."""
+    """Build a CIS partition and its trace; ``seed=None`` picks lowest-index players first, an int shuffles."""
+    if seed is not None and type(seed) is not int:  # a bool is not a seed
+        raise AshgError(f"a seed is an int or None, not a {type(seed).__name__}")
     n = game.n
     rows = game.rows
     priority = list(range(n))
@@ -157,7 +159,9 @@ def replay_trace(game: Game, trace: Tuple[TraceStep, ...]) -> Partition:
 
 
 def serialize_trace(game: Game, trace: Tuple[TraceStep, ...]) -> str:
-    """One step per line, players by label: ``helpers <k> <labels>``, else ``<kind> <label> <k>``."""
+    """The trace, once ``replay_trace`` accepts it, one step per line, players by label:
+    ``helpers <k> <labels>``, else ``<kind> <label> <k>``."""
+    replay_trace(game, trace)
     lines = []
     for kind, k, players in trace:
         labs = " ".join(game.label(p) for p in players)

@@ -145,7 +145,7 @@ def cmd_solve_cis(args) -> int:
 def cmd_verify(args) -> int:
     game = parse_game(_read(args.game))
     partition = parse_partition(_read(args.partition), game)
-    verdict = verify(game, partition, StabilityConcept(args.concept))
+    verdict = verify(game, partition, args.concept)
     if verdict.stable:
         print("stable")
         return OK

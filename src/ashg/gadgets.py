@@ -86,7 +86,10 @@ class E3CInstance:
         for k, s in enumerate(self.triples):  # each error names the first triple that breaks a rule
             if not isinstance(s, frozenset):
                 raise InvalidInstance(f"a triple is a frozenset, not a {type(s).__name__}", k)
-            members = sorted(s, key=lambda r: (type(r).__name__, r))  # no two types are compared
+            try:
+                members = sorted(s, key=lambda r: (type(r).__name__, r))  # no two types are compared
+            except TypeError:  # elements of one type that do not order
+                members = sorted(s, key=shown)
             if len(s) != 3 or not s <= known:
                 raise InvalidInstance(f"each triple needs 3 distinct universe elements: {shown(members)}", k)
             if s in seen:
@@ -132,7 +135,10 @@ def example_six_player() -> Game:
 
 def reduce_e3c(inst: E3CInstance) -> GadgetGame:
     """Symmetric game with a hexagon per universe element and a hub player per triple."""
-    labels = [f"x{j}_{r}" for r in inst.universe for j in range(1, 7)]
+    try:
+        labels = [f"x{j}_{r}" for r in inst.universe for j in range(1, 7)]
+    except ValueError:  # str() refuses an int past int()'s digit limit
+        raise InvalidInstance("a universe element is too long to name a player") from None
     labels += [f"y_{k}" for k in range(len(inst.triples))]
 
     half = Fraction(1, 2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Collection, Iterable, Mapping, Sequence, Sized, Tuple, Union
 
 from .errors import (
     DuplicatePlayer,
@@ -105,21 +105,6 @@ class Game:
 
     def __init__(self, labels: Sequence[str], values: Mapping[Tuple[str, str], Rational] = (),
                  default: Rational = 0):
-        entries = ((self.index(a), self.index(b), v) for (a, b), v in dict(values).items())
-        self._init(labels, entries, default)  # indexes the labels before the first lookup
-
-    @classmethod
-    def from_matrix(cls, labels: Sequence[str], rows: Sequence[Sequence[Rational]]) -> "Game":
-        """Build a game from a dense value matrix (diagonal must be zero)."""
-        labels = tuple(labels)
-        if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
-            raise GameFormatError("matrix shape does not match the player count")
-        game = cls.__new__(cls)
-        game._init(labels, ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)), 0)
-        return game
-
-    def _init(self, labels: Sequence[str], entries: Iterable[Tuple[int, int, object]], default) -> None:
-        """Check the labels, the default, then each ``(i, j, value)`` once and in order."""
         labels = tuple(labels)
         if not labels:
             raise EmptyGame()
@@ -130,13 +115,24 @@ class Game:
             if self._index.setdefault(lab, i) != i:
                 raise GameFormatError(f"duplicate player label: {shown(lab)}")
         default = _as_rational(default)
-        cells, values = [{} for _ in labels], {}  # each value is its own key
-        for i, j, v in entries:
+        cells, distinct = [{} for _ in labels], {}  # each value is its own key
+        for key, v in dict(values).items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise GameFormatError(f"a value's key is a pair of labels, not {shown(key)}")
+            i, j = self.index(key[0]), self.index(key[1])
             v = _as_rational(v)
             if i == j and v != 0:
                 raise GameFormatError(f"nonzero self-value for player {shown(labels[i])}")
-            cells[i][j] = values[v] = v
-        self.rows, self.scale = scaled_rows(cells, values, default)
+            cells[i][j] = distinct[v] = v
+        self.rows, self.scale = scaled_rows(cells, distinct, default)
+
+    @classmethod
+    def from_matrix(cls, labels: Sequence[str], rows: Sequence[Sequence[Rational]]) -> "Game":
+        """A game from a dense value matrix (zero diagonal); its pairs are made lazily, once the labels are checked."""
+        labels = tuple(labels)
+        if len(rows) != len(labels) or any(not isinstance(r, Sized) or len(r) != len(labels) for r in rows):
+            raise GameFormatError("matrix shape does not match the player count")
+        return cls(labels, (((a, b), v) for a, row in zip(labels, rows) for b, v in zip(labels, row)))
 
     @property
     def n(self) -> int:
@@ -233,9 +229,6 @@ class Partition:
     def of_labels(cls, game: Game, groups: Iterable[Iterable[str]]) -> "Partition":
         return cls([game.index(lab) for lab in g] for g in groups)
 
-    def players(self) -> frozenset:
-        return frozenset(self._block_of)
-
     def __iter__(self):
         return iter(self.blocks)
 
@@ -264,7 +257,7 @@ def validate_partition(game: Game, partition) -> Partition:
     """
     if not isinstance(partition, Partition):
         partition = Partition(partition)
-    covered = partition.players()
+    covered = frozenset(partition._block_of)
     for p in covered:
         game._check_player(p)
     for p in range(game.n):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Optional, Tuple, Union
 
-from .errors import TooLarge
+from .errors import AshgError, TooLarge, shown
 from .game import Coalition, Game, Partition, dense_rows, int_utility, validate_partition
 
 # Largest games the exponential searches accept: coalition scans (2**n
@@ -320,8 +320,12 @@ def is_individually_rational(game: Game, partition) -> Tuple[bool, Optional[int]
     return witness is None, witness and witness.player
 
 
-def verify(game: Game, partition, concept: StabilityConcept) -> StabilityVerdict:
-    """Dispatch to the matching finder, which validates ``partition``; stable iff no witness exists."""
+def verify(game: Game, partition, concept: Union[StabilityConcept, str]) -> StabilityVerdict:
+    """Dispatch to the finder of ``concept`` (a ``StabilityConcept`` or its value); stable iff no witness exists."""
+    try:
+        concept = StabilityConcept(concept)
+    except ValueError:
+        raise AshgError(f"unknown stability concept: {shown(concept)}") from None
     finder = {
         StabilityConcept.NS: find_nash_deviation,
         StabilityConcept.IS: find_is_deviation,
